@@ -8,8 +8,9 @@
 //!   workspace: validated pending ops over any immutable [`GraphView`]
 //!   backend, materialized back into canonical CSR at commit time.
 //! * [`index`] — [`DeltaIndex`], the maintained pipeline state: coreness,
-//!   shell order, Alg. 1 tags, and Alg. 2 primaries, repaired per op in
-//!   time proportional to the affected region and bit-identical to a
+//!   shell order, Alg. 1 tags, and Alg. 2 primaries, repaired per op by
+//!   order-based core maintenance over a maintained k-order, in time
+//!   proportional to the affected region and bit-identical to a
 //!   from-scratch rebuild.
 //! * [`wal`] — [`DeltaLog`], the durable write-ahead delta log: staged ops
 //!   are checksummed and length-framed on disk, committed with an fsync'd
@@ -22,13 +23,44 @@
 
 use std::fmt;
 
+use bestk_graph::generators::EdgeOp;
+use bestk_graph::VertexId;
+
 pub mod index;
+mod korder;
 pub mod overlay;
 pub mod wal;
 
 pub use index::{ApplyStats, DeltaIndex};
 pub use overlay::DeltaOverlay;
 pub use wal::{first_bad_record, replay_bytes, replay_path, DeltaLog, Replay, WAL_MAGIC};
+
+/// Validates `op` against a graph of `n` vertices in which
+/// `present(u, v)` tells whether the edge `{u, v}` exists: rejects
+/// self-loops, out-of-range endpoints (before `present` is asked),
+/// duplicate inserts, and deletes of absent edges.
+pub fn validate_op(
+    n: usize,
+    op: &EdgeOp,
+    present: impl FnOnce(VertexId, VertexId) -> bool,
+) -> Result<(), DeltaError> {
+    let (u, v) = op.endpoints();
+    if u == v {
+        return Err(DeltaError::BadOp(format!("self-loop on vertex {u}")));
+    }
+    if (u as usize) >= n || (v as usize) >= n {
+        return Err(DeltaError::BadOp(format!(
+            "edge ({u}, {v}) out of range for {n} vertices"
+        )));
+    }
+    match (op.is_insert(), present(u, v)) {
+        (true, true) => Err(DeltaError::BadOp(format!(
+            "edge ({u}, {v}) already present"
+        ))),
+        (false, false) => Err(DeltaError::BadOp(format!("edge ({u}, {v}) not present"))),
+        _ => Ok(()),
+    }
+}
 
 /// Failures from staging, applying, or replaying edge mutations.
 #[derive(Debug)]

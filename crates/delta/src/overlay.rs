@@ -10,12 +10,14 @@
 //! Only vertices that were actually touched carry a patched adjacency
 //! list; untouched vertices read straight through to the base, so an
 //! overlay with a handful of pending ops costs `O(touched degree)` heap on
-//! top of the base.
+//! top of the base, and an op costs `O(log touched + degree)`. Degree
+//! offsets are computed on first use after a change, not per op.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use bestk_graph::generators::EdgeOp;
-use bestk_graph::{cast, CsrGraph, GraphBuilder, GraphView, Neighbors, VertexId};
+use bestk_graph::{CsrGraph, GraphView, Neighbors, VertexId};
 
 use crate::DeltaError;
 
@@ -27,22 +29,21 @@ pub struct DeltaOverlay<G: GraphView> {
     ops: Vec<EdgeOp>,
     /// Sorted-by-id adjacency for every touched vertex.
     patched: BTreeMap<VertexId, Vec<VertexId>>,
-    /// Degree prefix sums over the overlaid graph, length `n + 1`;
-    /// rebuilt eagerly on apply so reads stay `O(1)`.
-    offsets: Vec<usize>,
+    /// Degree prefix sums over the overlaid graph, length `n + 1`:
+    /// computed on first use, dropped by every applied op.
+    offsets: OnceLock<Vec<usize>>,
     m: usize,
 }
 
 impl<G: GraphView> DeltaOverlay<G> {
     /// An overlay with no pending ops.
     pub fn new(base: G) -> DeltaOverlay<G> {
-        let offsets = base.degree_offsets();
         let m = base.num_edges();
         DeltaOverlay {
             base,
             ops: Vec::new(),
             patched: BTreeMap::new(),
-            offsets,
+            offsets: OnceLock::new(),
             m,
         }
     }
@@ -61,28 +62,8 @@ impl<G: GraphView> DeltaOverlay<G> {
     /// out-of-range ids, duplicate inserts, deletes of absent edges) leave
     /// the overlay untouched.
     pub fn apply(&mut self, op: EdgeOp) -> Result<(), DeltaError> {
+        crate::validate_op(self.num_vertices(), &op, |u, v| self.has_edge(u, v))?;
         let (u, v) = op.endpoints();
-        let n = self.num_vertices();
-        if u == v {
-            return Err(DeltaError::BadOp(format!("self-loop on vertex {u}")));
-        }
-        if (u as usize) >= n || (v as usize) >= n {
-            return Err(DeltaError::BadOp(format!(
-                "edge ({u}, {v}) out of range for {n} vertices"
-            )));
-        }
-        let present = self.has_edge(u, v);
-        match op {
-            EdgeOp::Insert(..) if present => {
-                return Err(DeltaError::BadOp(format!(
-                    "edge ({u}, {v}) already present"
-                )))
-            }
-            EdgeOp::Delete(..) if !present => {
-                return Err(DeltaError::BadOp(format!("edge ({u}, {v}) not present")))
-            }
-            _ => {}
-        }
         for (a, b) in [(u, v), (v, u)] {
             // First touch snapshots the base adjacency (disjoint field
             // borrow: `base` is read while `patched` is written).
@@ -106,33 +87,31 @@ impl<G: GraphView> DeltaOverlay<G> {
         } else {
             self.m -= 1;
         }
-        self.rebuild_offsets();
+        self.offsets.take();
         self.ops.push(op);
         Ok(())
     }
 
     /// Materializes the overlaid graph as a canonical [`CsrGraph`].
     pub fn materialize(&self) -> CsrGraph {
-        let mut b = GraphBuilder::with_capacity(self.m);
-        b.reserve_vertices(self.num_vertices());
-        for u in self.vertices() {
-            for v in self.neighbors(u) {
-                if u < v {
-                    b.add_edge(u, v);
-                }
-            }
-        }
-        b.build()
+        let lists: Vec<Vec<VertexId>> = self
+            .vertices()
+            .map(|v| self.neighbors(v).collect())
+            .collect();
+        CsrGraph::from_adjacency_lists(lists.iter().map(Vec::as_slice))
     }
 
-    fn rebuild_offsets(&mut self) {
-        let n = self.offsets.len() - 1;
-        let mut acc = 0usize;
-        for v in 0..n {
-            self.offsets[v] = acc;
-            acc += self.degree(cast::vertex_id(v));
-        }
-        self.offsets[n] = acc;
+    fn starts(&self) -> &[usize] {
+        self.offsets.get_or_init(|| {
+            let mut offsets = Vec::with_capacity(self.num_vertices() + 1);
+            let mut acc = 0;
+            offsets.push(acc);
+            for v in self.vertices() {
+                acc += self.degree(v);
+                offsets.push(acc);
+            }
+            offsets
+        })
     }
 }
 
@@ -160,7 +139,7 @@ impl<G: GraphView> GraphView for DeltaOverlay<G> {
     }
 
     fn adjacency_start(&self, v: VertexId) -> usize {
-        self.offsets[v as usize]
+        self.starts()[v as usize]
     }
 
     fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
@@ -171,7 +150,7 @@ impl<G: GraphView> GraphView for DeltaOverlay<G> {
     }
 
     fn degree_offsets(&self) -> Vec<usize> {
-        self.offsets.clone()
+        self.starts().to_vec()
     }
 }
 
@@ -198,11 +177,25 @@ mod tests {
         }
         let materialized = overlay.materialize();
         assert_eq!(observations(&overlay), observations(&materialized));
+        for v in overlay.vertices() {
+            assert_eq!(
+                overlay.adjacency_start(v),
+                materialized.degree_offsets()[v as usize]
+            );
+        }
         for u in overlay.vertices() {
             for v in overlay.vertices() {
                 assert_eq!(overlay.has_edge(u, v), materialized.has_edge(u, v));
             }
         }
+
+        // An op after a read drops the cached offsets.
+        let (u, v) = materialized.edges().next().unwrap();
+        overlay.apply(EdgeOp::Delete(u, v)).unwrap();
+        assert_eq!(
+            overlay.degree_offsets(),
+            overlay.materialize().degree_offsets()
+        );
     }
 
     #[test]

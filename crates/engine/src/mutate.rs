@@ -4,9 +4,10 @@
 //! per-slot [`DeltaSlot`] holding the pending ops, the durable
 //! [`DeltaLog`], and the incrementally maintained [`DeltaIndex`]:
 //!
-//! * **stage** ([`SharedEngine::stage_edge`]) validates the op against a
-//!   [`DeltaOverlay`] of the committed graph plus the already-pending ops,
-//!   appends it to the write-ahead log (not yet durable), and buffers it.
+//! * **stage** ([`SharedEngine::stage_edge`]) validates the op against the
+//!   committed graph's `has_edge` plus the pending ops' net effect on each
+//!   edge they touch, appends it to the write-ahead log (not yet durable),
+//!   and buffers it.
 //! * **commit** ([`SharedEngine::commit_edges`]) appends the commit marker
 //!   and `fsync`s (the durability point), folds the pending ops into the
 //!   maintained [`DeltaIndex`] — affected-region work, not a rebuild —
@@ -33,12 +34,14 @@
 //! `<wal>.quarantine` and the engine serves the un-mutated snapshot,
 //! mirroring the corrupt-snapshot ladder.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use bestk_core::{BestKSet, Metric};
 use bestk_delta::{DeltaError, DeltaIndex, DeltaLog, DeltaOverlay};
 use bestk_exec::ExecPolicy;
 use bestk_graph::generators::EdgeOp;
+use bestk_graph::{GraphView, VertexId};
 
 use crate::dataset::Dataset;
 use crate::error::EngineError;
@@ -55,6 +58,10 @@ pub const COMPACT_OPS: u64 = 256;
 pub struct DeltaSlot {
     /// Staged, uncommitted ops in application order.
     pub(crate) pending: Vec<EdgeOp>,
+    /// Whether each edge `(lo, hi)` touched by `pending` is present once
+    /// the pending ops apply; edges not listed read through to the
+    /// committed graph.
+    pub(crate) presence: BTreeMap<(VertexId, VertexId), bool>,
     /// The durable log; `None` for in-memory datasets (`insert_graph`),
     /// whose mutations are valid but not crash-durable.
     pub(crate) wal: Option<DeltaLog>,
@@ -71,6 +78,7 @@ impl Default for DeltaSlot {
     fn default() -> DeltaSlot {
         DeltaSlot {
             pending: Vec::new(),
+            presence: BTreeMap::new(),
             wal: None,
             index: None,
             committed_ops: 0,
@@ -89,6 +97,7 @@ impl DeltaSlot {
     pub(crate) fn heap_bytes(&self) -> usize {
         self.index.as_ref().map_or(0, DeltaIndex::heap_bytes)
             + self.pending.capacity() * std::mem::size_of::<EdgeOp>()
+            + self.presence.len() * std::mem::size_of::<((VertexId, VertexId), bool)>()
     }
 
     fn with_wal(wal: DeltaLog, committed_ops: u64) -> DeltaSlot {
@@ -118,22 +127,24 @@ pub struct CommitSummary {
 }
 
 /// Validates `op` against the committed graph plus already-pending ops,
-/// write-ahead-logs it, and buffers it. Runs with no registry guard live.
+/// write-ahead-logs it, and buffers it. A rejected op or a failed append
+/// leaves the slot unchanged. Runs with no registry guard live.
 fn stage_op(dataset: &Dataset, delta: &mut DeltaSlot, op: EdgeOp) -> Result<usize, EngineError> {
-    let mut overlay = DeltaOverlay::new(dataset.graph());
-    for prev in &delta.pending {
-        // Pending ops were valid when staged and the base graph has not
-        // changed since (commits drain pending first), so replay succeeds;
-        // a failure here means slot state diverged and must surface.
-        overlay.apply(*prev).map_err(|e| {
-            EngineError::Internal(format!("pending op {prev:?} stopped applying: {e}"))
-        })?;
-    }
-    overlay.apply(op)?;
+    let g = dataset.graph();
+    let (u, v) = op.endpoints();
+    let key = (u.min(v), u.max(v));
+    bestk_delta::validate_op(g.num_vertices(), &op, |u, v| {
+        delta
+            .presence
+            .get(&key)
+            .copied()
+            .unwrap_or_else(|| g.has_edge(u, v))
+    })?;
     if let Some(wal) = delta.wal.as_mut() {
         wal.append(&op)?;
     }
     delta.pending.push(op);
+    delta.presence.insert(key, op.is_insert());
     Ok(delta.pending.len())
 }
 
@@ -172,6 +183,7 @@ fn commit_ops(
     }
     let ops = delta.pending.len();
     delta.pending.clear();
+    delta.presence.clear();
     delta.committed_ops += ops as u64;
     bestk_obs::counter("delta.commits").inc();
     let graph = index.to_csr();
@@ -412,6 +424,34 @@ mod tests {
         assert_eq!(eng.pending_ops("g").unwrap(), 1);
         let err = eng.stage_edge("nope", EdgeOp::Insert(0, 1)).unwrap_err();
         assert!(matches!(err, EngineError::UnknownDataset(_)), "{err}");
+    }
+
+    #[test]
+    fn staging_tracks_the_net_presence_of_pending_edges() {
+        let eng = SharedEngine::with_budget(None);
+        eng.insert_graph("g", generators::paper_figure2());
+        // Toggle a non-edge and an edge; each op sees the ones before it.
+        for op in [
+            EdgeOp::Insert(0, 11),
+            EdgeOp::Delete(0, 11),
+            EdgeOp::Insert(11, 0),
+            EdgeOp::Delete(0, 1),
+            EdgeOp::Insert(1, 0),
+            EdgeOp::Delete(0, 1),
+        ] {
+            eng.stage_edge("g", op).unwrap();
+        }
+        for bad in [EdgeOp::Insert(0, 11), EdgeOp::Delete(1, 0)] {
+            let err = eng.stage_edge("g", bad).unwrap_err();
+            assert!(matches!(err, EngineError::Mutation(_)), "{err}");
+        }
+        assert_eq!(eng.pending_ops("g").unwrap(), 6);
+        eng.commit_edges("g", &policy()).unwrap();
+        // After the commit the base graph answers for both edges again.
+        eng.stage_edge("g", EdgeOp::Delete(0, 11)).unwrap();
+        eng.stage_edge("g", EdgeOp::Insert(0, 1)).unwrap();
+        let a = eng.query("g", &Query::Stats, &policy()).unwrap();
+        assert!(a.to_line().contains("m=19"), "{}", a.to_line());
     }
 
     #[test]

@@ -90,6 +90,39 @@ impl CsrGraph {
         Ok(CsrGraph { offsets, neighbors })
     }
 
+    /// Assembles a graph from one neighbor list per vertex, each in any
+    /// order: the lists are copied and sorted by id, then checked with
+    /// [`validate`](Self::validate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lists do not describe a simple undirected graph. Like
+    /// [`from_parts`](Self::from_parts) this is a trusted entry point, for
+    /// adjacency a caller maintains in memory (it skips the edge sort and
+    /// dedup a [`GraphBuilder`](crate::GraphBuilder) round trip pays).
+    pub fn from_adjacency_lists<'a, I>(lists: I) -> Self
+    where
+        I: IntoIterator<Item = &'a [VertexId]>,
+        I::IntoIter: Clone,
+    {
+        let lists = lists.into_iter();
+        // Two passes so both arrays are allocated once, at their exact
+        // size: the graph is resident for as long as it is served.
+        let mut offsets = Vec::with_capacity(lists.clone().count() + 1);
+        offsets.push(0);
+        let mut neighbors = Vec::with_capacity(lists.clone().map(<[VertexId]>::len).sum());
+        for list in lists {
+            let start = neighbors.len();
+            neighbors.extend_from_slice(list);
+            neighbors[start..].sort_unstable();
+            offsets.push(neighbors.len());
+        }
+        let g = CsrGraph { offsets, neighbors };
+        let valid = g.validate();
+        assert!(valid.is_ok(), "adjacency lists: {valid:?}");
+        g
+    }
+
     /// An empty graph with `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
         CsrGraph {
@@ -194,24 +227,38 @@ impl CsrGraph {
         }
     }
 
-    /// Checks the simple-graph invariants: sorted adjacency, no self loops,
-    /// no duplicates, and symmetric edges. Intended for tests and debugging;
-    /// costs `O(m log m)`.
+    /// Checks the simple-graph invariants: sorted adjacency, neighbor ids
+    /// in range, no self loops, no duplicates, and symmetric edges. Costs
+    /// `O(n + m)`: walks the vertices in id order and matches each edge
+    /// `{u, v}`, `u < v`, against the next unmatched lower neighbor of `v`
+    /// — sorted lists list their lower neighbors in exactly that order.
     pub fn validate(&self) -> Result<(), String> {
-        for v in self.vertices() {
-            let adj = self.neighbors(v);
-            for w in adj.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(format!("adjacency of {v} is not strictly sorted"));
+        let n = self.num_vertices();
+        let mut matched = vec![0usize; n];
+        for u in self.vertices() {
+            let adj = self.neighbors(u);
+            if adj.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("adjacency of {u} is not strictly sorted"));
+            }
+            for &v in adj {
+                if v == u {
+                    return Err(format!("self loop at {u}"));
+                }
+                if v > u {
+                    let Some(slot) = matched.get_mut(v as usize) else {
+                        return Err(format!("neighbor id {v} out of range (n = {n})"));
+                    };
+                    if self.neighbors(v).get(*slot) != Some(&u) {
+                        return Err(format!("edge ({u},{v}) is not symmetric"));
+                    }
+                    *slot += 1;
                 }
             }
-            for &u in adj {
-                if u == v {
-                    return Err(format!("self loop at {v}"));
-                }
-                if self.neighbors(u).binary_search(&v).is_err() {
-                    return Err(format!("edge ({v},{u}) is not symmetric"));
-                }
+        }
+        for v in self.vertices() {
+            let lower = self.neighbors(v).partition_point(|&x| x < v);
+            if matched[v as usize] != lower {
+                return Err(format!("a lower neighbor of {v} does not list it"));
             }
         }
         Ok(())
@@ -345,6 +392,42 @@ mod tests {
             neighbors: vec![1],
         };
         assert!(g.validate().is_err());
+    }
+
+    #[test]
+    fn adjacency_lists_in_any_order_build_the_canonical_graph() {
+        let g = crate::generators::erdos_renyi_gnm(60, 200, 3);
+        let lists: Vec<Vec<VertexId>> = g
+            .vertices()
+            .map(|v| g.neighbors(v).iter().rev().copied().collect())
+            .collect();
+        let rebuilt = CsrGraph::from_adjacency_lists(lists.iter().map(Vec::as_slice));
+        assert_eq!(rebuilt, g);
+        assert_eq!(
+            CsrGraph::from_adjacency_lists([&[][..]; 3]),
+            CsrGraph::empty(3)
+        );
+    }
+
+    #[test]
+    fn validate_rejects_every_broken_shape() {
+        let bad = |offsets: Vec<usize>, neighbors: Vec<VertexId>| {
+            CsrGraph { offsets, neighbors }.validate().is_err()
+        };
+        assert!(bad(vec![0, 1, 1], vec![1]), "missing reverse edge");
+        assert!(bad(vec![0, 0, 1], vec![0]), "reverse edge without forward");
+        assert!(bad(vec![0, 1, 2], vec![0, 0]), "self loop");
+        assert!(bad(vec![0, 2, 4], vec![1, 1, 0, 0]), "duplicate edge");
+        assert!(bad(vec![0, 2, 3, 4], vec![2, 1, 0, 0]), "unsorted list");
+        assert!(bad(vec![0, 1, 3, 4], vec![1, 0, 2, 0]), "asymmetric pair");
+        assert!(bad(vec![0, 1, 1], vec![7]), "id out of range");
+        assert!(triangle().validate().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "adjacency lists")]
+    fn asymmetric_adjacency_lists_panic() {
+        CsrGraph::from_adjacency_lists([&[1][..], &[][..]]);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! from-scratch rebuild of the same graph — coreness, Alg. 1 order and
 //! position tags, shell boundaries, per-k primary values, and every best-k
 //! answer — after arbitrary valid edge-op sequences, including delete-heavy
-//! drains and churn focused on the max-`k` shell. And because the rebuild
-//! pipeline is itself deterministic across thread counts, the incremental
-//! state must match `OrderedGraph::build_with` at 1, 2, and 4 threads too.
+//! drains and churn focused on the max-`k` shell — while the k-order it
+//! maintains stays a valid degeneracy order after every op. And because
+//! the rebuild pipeline is itself deterministic across thread counts, the
+//! incremental state must match `OrderedGraph::build_with` at 1, 2, and 4
+//! threads too.
 //!
 //! Driven by the seeded in-repo property harness (`BESTK_PROP_SEED` /
 //! `BESTK_PROP_CASES`), like the other equivalence suites.
@@ -62,8 +64,9 @@ fn assert_matches_rebuild(index: &DeltaIndex, current: &CsrGraph, context: &str)
     }
 }
 
-/// Runs `ops` through the index, checking against the rebuild oracle every
-/// `stride` ops and at the end.
+/// Runs `ops` through the index, checking the maintained k-order after
+/// every op and against the rebuild oracle every `stride` ops and at the
+/// end.
 fn drive(g: &CsrGraph, ops: &[EdgeOp], stride: usize, label: &str) {
     let mut index = DeltaIndex::build(g);
     let mut edges: BTreeSet<(u32, u32)> = g.edges().collect();
@@ -74,6 +77,9 @@ fn drive(g: &CsrGraph, ops: &[EdgeOp], stride: usize, label: &str) {
             EdgeOp::Delete(..) => edges.remove(&(u, v)),
         };
         index.apply(op).unwrap();
+        if let Err(e) = index.check_k_order() {
+            panic!("{label}, op {i}: k-order broken: {e}");
+        }
         if (i + 1) % stride == 0 {
             let current = csr_of(g.num_vertices(), &edges);
             assert_matches_rebuild(&index, &current, &format!("{label}, op {i}"));
