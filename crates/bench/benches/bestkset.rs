@@ -1,14 +1,17 @@
 //! Micro-bench: Figure 7 in micro form — optimal (Algorithms 2/3) versus
 //! baseline (§III-A) score computation for the best k-core set, for a
 //! basic metric (average degree) and a triangle metric (clustering
-//! coefficient).
+//! coefficient), plus the one-kernel-versus-two-sweeps ablation for the
+//! triangle profiles of Algorithms 3 and 5.
 
 use bestk_bench::Bench;
 use bestk_core::baseline::baseline_core_set_primaries;
+use bestk_core::bestcore::single_core_primaries;
 use bestk_core::bestkset::{
     core_set_primaries, core_set_primaries_bottom_up, core_set_primaries_with_triangles,
 };
-use bestk_core::{core_decomposition, OrderedGraph};
+use bestk_core::{core_decomposition, profiles_with, CoreForest, OrderedGraph};
+use bestk_exec::ExecPolicy;
 use bestk_graph::generators;
 
 fn inputs() -> Vec<(&'static str, bestk_graph::CsrGraph)> {
@@ -50,6 +53,31 @@ fn bench_triangle_metrics(b: &Bench) {
     }
 }
 
+/// Ablation: both triangle profiles (Algorithm 3's per-k sets and
+/// Algorithm 5's per-core forest nodes) from two separate sequential
+/// sweeps, each enumerating every triangle, against one pass of the shared
+/// kernel through `profiles_with` at 1 and 2 threads.
+fn bench_triangle_profiles(b: &Bench) {
+    for (name, g) in inputs() {
+        let d = core_decomposition(&g);
+        let o = OrderedGraph::build(&g, &d);
+        let f = CoreForest::build(&g, &d);
+        b.run(&format!("triangle_profiles/two_sweeps/{name}"), || {
+            (
+                core_set_primaries_with_triangles(&o),
+                single_core_primaries(&o, &f, true),
+            )
+        });
+        for threads in [1, 2] {
+            let policy = ExecPolicy::with_threads(threads).expect("positive thread count");
+            b.run(
+                &format!("triangle_profiles/profiles_with_t{threads}/{name}"),
+                || profiles_with(&o, &f, true, &policy),
+            );
+        }
+    }
+}
+
 /// Ablation (DESIGN.md §6.2): sweep direction for the basic primaries.
 /// Both directions are O(n); the point is that neither needs re-counting —
 /// unlike a bottom-up *triangle* sweep, which would degenerate to the
@@ -70,6 +98,7 @@ fn main() {
     let b = Bench::from_env_or_exit();
     bench_basic_metrics(&b);
     bench_triangle_metrics(&b);
+    bench_triangle_profiles(&b);
     bench_sweep_direction(&b);
     b.finish_or_exit();
 }

@@ -872,7 +872,8 @@ pub fn fuzz(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `bestk metrics <graph> [--threads N]`: run the full best-k pipeline
-/// (decomposition peel, metric sweeps, best-k selection) once on `graph`
+/// (load, decomposition peel, triangle kernel, per-k and per-core
+/// profiles, best-k selection) once on `graph`
 /// and print the metrics exposition — the quickest way to see the phase
 /// timing counters the paper's cost model is stated in.
 pub fn metrics(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
@@ -934,7 +935,12 @@ mod tests {
     fn write_figure2() -> String {
         let path = fixture_path("fig2.txt");
         let g = bestk_graph::generators::paper_figure2();
-        io::write_edge_list_path(&g, &path).unwrap();
+        // Every test rewrites this shared fixture; write a private copy and
+        // rename it into place so a concurrent reader never sees it
+        // half-written.
+        let private = fixture_path(&format!("fig2.txt.{:?}", std::thread::current().id()));
+        io::write_edge_list_path(&g, &private).unwrap();
+        std::fs::rename(&private, &path).unwrap();
         path
     }
 
@@ -1356,8 +1362,11 @@ mod tests {
         let graph = write_figure2();
         let out = run(&["metrics", &graph]).unwrap();
         for needle in [
+            "phase.load.calls ",
             "phase.peel.calls ",
+            "phase.triangles.calls ",
             "phase.sweep.calls ",
+            "phase.coreprof.calls ",
             "phase.select.calls ",
             "exec.dispatches ",
         ] {

@@ -9,8 +9,10 @@ use crate::CliError;
 /// `BESTKGR1` are read as binary CSR, everything else as a SNAP-style text
 /// edge list (sparse ids are relabeled densely). Delegates to
 /// [`io::read_auto_path`] (the engine's snapshot-rebuild fallback uses the
-/// same loader, so a path that works here works there).
+/// same loader, so a path that works here works there), inside a
+/// `phase.load` span.
 pub fn load_graph(path: &str) -> Result<CsrGraph, CliError> {
+    let _span = bestk_obs::span!("phase.load");
     Ok(io::read_auto_path(path)?)
 }
 

@@ -1,6 +1,6 @@
 //! One-call facade over the whole pipeline.
 //!
-//! [`analyze`] runs decomposition → ordering → sweeps → forest once and
+//! [`analyze`] runs decomposition → ordering → forest → profiles once and
 //! stores the *profiles* (per-k and per-core primary values), after which
 //! every metric — including user-defined [`CommunityMetric`]s — is scored in
 //! `O(kmax)` / `O(#cores)` with no further graph traversal. This mirrors the
@@ -9,12 +9,13 @@
 use bestk_exec::ExecPolicy;
 use bestk_graph::{GraphView, VertexId};
 
-use crate::bestcore::{single_core_profile, BestCore, SingleCoreProfile};
-use crate::bestkset::{core_set_profile, BestKSet, CoreSetProfile};
+use crate::bestcore::{single_core_profile_from, BestCore, SingleCoreProfile};
+use crate::bestkset::{core_set_profile_from, BestKSet, CoreSetProfile};
 use crate::decomposition::{core_decomposition_with, CoreDecomposition};
 use crate::forest::CoreForest;
 use crate::metrics::{CommunityMetric, MetricError};
 use crate::ordering::OrderedGraph;
+use crate::triangles::triangle_totals;
 
 /// Precomputed best-k state for one graph: the decomposition, the core
 /// forest, and both primary-value profiles.
@@ -42,9 +43,9 @@ pub fn analyze_basic<G: GraphView + Sync>(g: &G) -> BestKAnalysis {
 /// [`analyze`] under an execution policy: the peel dispatches to the
 /// [`PeelStrategy`](crate::PeelStrategy) the policy selects (the parallel
 /// bucket-frontier primary under `Parallel`, the sequential oracle
-/// otherwise) and the ordered-adjacency tag scan runs on the shared
-/// runtime. The analysis is identical to the sequential one at every
-/// thread count.
+/// otherwise), and the ordered-adjacency tag scan and the triangle kernel
+/// run on the shared runtime. The analysis is identical to the sequential
+/// one at every thread count.
 pub fn analyze_with<G: GraphView + Sync>(g: &G, policy: &ExecPolicy) -> BestKAnalysis {
     analyze_inner_with(g, true, policy)
 }
@@ -65,15 +66,34 @@ fn analyze_inner_with<G: GraphView + Sync>(
 ) -> BestKAnalysis {
     let decomp = core_decomposition_with(g, policy);
     let ordered = OrderedGraph::build_with(g, &decomp, policy);
-    let set_profile = core_set_profile(&ordered, with_triangles);
     let forest = CoreForest::build(g, &decomp);
-    let core_profile = single_core_profile(&ordered, &forest, with_triangles);
+    let (set_profile, core_profile) = profiles_with(&ordered, &forest, with_triangles, policy);
     BestKAnalysis {
         decomp,
         forest,
         set_profile,
         core_profile,
     }
+}
+
+/// Both primary-value profiles — Algorithm 2/3's per-k [`CoreSetProfile`]
+/// and Algorithm 5's per-core [`SingleCoreProfile`] — from one pass of the
+/// triangle kernel (`triangles::triangle_totals`) when `with_triangles`,
+/// run under `policy`. The profiles are identical to
+/// [`core_set_profile`](crate::core_set_profile) and
+/// [`single_core_profile`](crate::single_core_profile) at every thread
+/// count; those two each run the kernel sequentially on their own.
+pub fn profiles_with(
+    o: &OrderedGraph<'_>,
+    forest: &CoreForest,
+    with_triangles: bool,
+    policy: &ExecPolicy,
+) -> (CoreSetProfile, SingleCoreProfile) {
+    let totals = with_triangles.then(|| triangle_totals(o, Some(forest), policy));
+    (
+        core_set_profile_from(o, totals.as_ref()),
+        single_core_profile_from(o, forest, totals.as_ref()),
+    )
 }
 
 impl BestKAnalysis {
@@ -292,6 +312,69 @@ mod tests {
                 );
                 assert_eq!(a.single_core_scores(&m), reference.single_core_scores(&m));
             }
+        }
+    }
+
+    /// `profiles_with` at 1, 2, 4 and 7 threads against the literal
+    /// Algorithm 3/5 transcriptions and the naive per-subgraph counts:
+    /// every k's and every node's primaries must be identical.
+    #[test]
+    fn profiles_with_match_literal_algorithms_and_naive_counts() {
+        use crate::bestcore::literal_alg5;
+        use crate::bestkset::literal_alg3;
+        use crate::triangles::naive_triangles_triplets;
+        use bestk_graph::{transform, CsrGraph};
+
+        let two_parts = transform::disjoint_union(
+            &generators::overlapping_cliques(60, 10, (3, 7), 3),
+            &generators::erdos_renyi_gnm(50, 160, 8),
+        );
+        for (name, g) in [
+            ("er", generators::erdos_renyi_gnm(150, 700, 21)),
+            ("chung-lu", generators::chung_lu_power_law(300, 8.0, 2.3, 5)),
+            ("rmat", generators::rmat(8, 6, 0.57, 0.19, 0.19, 2)),
+            ("k_chain", generators::k_chain(12)),
+            ("shell_ladder", generators::shell_ladder(9, 4)),
+            ("tie_storm", generators::tie_storm(6, 5, 4)),
+            ("multi-component", two_parts),
+            ("isolated", CsrGraph::empty(7)),
+            ("empty", CsrGraph::empty(0)),
+        ] {
+            let d = crate::core_decomposition(&g);
+            let o = OrderedGraph::build(&g, &d);
+            let f = CoreForest::build(&g, &d);
+            let alg3 = literal_alg3(&o);
+            let alg5 = literal_alg5(&o, &f);
+            for k in 0..=d.kmax() {
+                let naive = naive_triangles_triplets(&g, d.core_set_vertices(k));
+                let pv = &alg3[k as usize];
+                assert_eq!((pv.triangles, pv.triplets), naive, "{name}: set k={k}");
+            }
+            for (i, pv) in alg5.iter().enumerate() {
+                let naive = naive_triangles_triplets(&g, &f.core_vertices(i as u32));
+                assert_eq!((pv.triangles, pv.triplets), naive, "{name}: node {i}");
+            }
+            for threads in [1, 2, 4, 7] {
+                let policy = ExecPolicy::with_threads(threads).unwrap();
+                let (set, core) = profiles_with(&o, &f, true, &policy);
+                assert!(set.has_triangles && core.has_triangles);
+                assert_eq!(set.primaries, alg3, "{name}: sets at {threads} threads");
+                assert_eq!(core.primaries, alg5, "{name}: cores at {threads} threads");
+                let (set, core) = profiles_with(&o, &f, false, &policy);
+                assert!(!set.has_triangles && !core.has_triangles);
+                assert_eq!(set.primaries, crate::bestkset::core_set_primaries(&o));
+                assert_eq!(
+                    core.primaries,
+                    crate::bestcore::single_core_primaries(&o, &f, false)
+                );
+            }
+            // The sequential wrappers run the same kernel.
+            assert_eq!(crate::core_set_profile(&o, true).primaries, alg3, "{name}");
+            assert_eq!(
+                crate::single_core_profile(&o, &f, true).primaries,
+                alg5,
+                "{name}"
+            );
         }
     }
 

@@ -10,6 +10,10 @@
 use crate::forest::CoreForest;
 use crate::metrics::{CommunityMetric, GraphContext, MetricError, PrimaryValues};
 use crate::ordering::OrderedGraph;
+#[cfg(test)]
+use crate::triangles::choose2;
+use crate::triangles::{triangle_totals, TriangleTotals};
+use bestk_exec::ExecPolicy;
 use bestk_graph::cast;
 
 /// Per-core primary values for every node of the core forest.
@@ -131,26 +135,28 @@ impl SingleCoreProfile {
 }
 
 /// Computes per-core primary values over the forest (Algorithm 5). With
-/// `with_triangles`, the triangle/triplet recurrence of Algorithm 3 runs
-/// per node (the forest's descending-coreness order provides exactly the
-/// top-down level sweep the recurrence needs).
+/// `with_triangles`, the triangle and triplet counts come from
+/// `triangles::triangle_totals` (sequential here): a core holds exactly
+/// the triangles and triplets credited to the nodes of its subtree.
 pub fn single_core_primaries(
     o: &OrderedGraph<'_>,
     forest: &CoreForest,
     with_triangles: bool,
 ) -> Vec<PrimaryValues> {
+    let totals = with_triangles.then(|| triangle_totals(o, Some(forest), &ExecPolicy::Sequential));
+    node_primaries(o, forest, totals.as_ref())
+}
+
+/// Algorithm 5's children-first aggregation: each node's primaries are its
+/// children's plus its own shell's contribution (and, when given, the
+/// kernel's triangle and triplet totals credited to the node).
+fn node_primaries(
+    o: &OrderedGraph<'_>,
+    forest: &CoreForest,
+    totals: Option<&TriangleTotals>,
+) -> Vec<PrimaryValues> {
     let node_count = forest.node_count();
     let mut primaries = vec![PrimaryValues::default(); node_count];
-
-    // Triangle/triplet sweep state (global across nodes; see Algorithm 3).
-    let n = o.num_vertices();
-    let mut f_gt = vec![0u32; n];
-    let mut f_ge = vec![0u32; n];
-    let mut marked = vec![0u32; n];
-    let mut mark_stamp = 0u32;
-    let mut nbr_seen = vec![u32::MAX; n];
-    let mut kshell_nbr: Vec<bestk_graph::VertexId> = Vec::new();
-
     for i in 0..node_count {
         let node = forest.node(cast::u32_of(i));
         // Children first (they precede i in the array): aggregate.
@@ -177,75 +183,113 @@ pub fn single_core_primaries(
         debug_assert!(out >= 0, "boundary count cannot go negative");
         pv.internal_edges += in_twice / 2;
         pv.boundary_edges = out as u64;
-
-        if with_triangles {
-            // Triangles whose minimum-rank vertex lies in this shell.
-            let mut tri: u64 = 0;
-            for &v in &node.vertices {
-                mark_stamp += 1;
-                for &u in o.neighbors_gt_rank(v) {
-                    marked[u as usize] = mark_stamp;
-                }
-                for &u in o.neighbors_gt_rank(v) {
-                    for &w in o.neighbors_gt_rank(u) {
-                        if marked[w as usize] == mark_stamp {
-                            tri += 1;
-                        }
-                    }
-                }
-            }
-            // Triplets centered in this shell.
-            let mut trip: u64 = 0;
-            for &v in &node.vertices {
-                trip += choose2(o.count_ge(v) as u64);
-            }
-            // New triplets centered in this core's deeper vertices.
-            kshell_nbr.clear();
-            for &v in &node.vertices {
-                for &u in o.neighbors_gt(v) {
-                    if nbr_seen[u as usize] != cast::u32_of(i) {
-                        nbr_seen[u as usize] = cast::u32_of(i);
-                        kshell_nbr.push(u);
-                    }
-                }
-            }
-            for &w in &kshell_nbr {
-                f_gt[w as usize] = f_ge[w as usize];
-            }
-            for &v in &node.vertices {
-                for &u in o.neighbors(v) {
-                    f_ge[u as usize] += 1;
-                }
-            }
-            for &w in &kshell_nbr {
-                let gt_k = f_gt[w as usize] as u64;
-                let eq_k = (f_ge[w as usize] - f_gt[w as usize]) as u64;
-                trip += choose2(eq_k) + gt_k * eq_k;
-            }
-            pv.triangles += tri;
-            pv.triplets += trip;
+        if let Some(totals) = totals {
+            pv.triangles += totals.node_triangles[i];
+            pv.triplets += totals.node_triplets[i];
         }
         primaries[i] = pv;
     }
     primaries
 }
 
-#[inline]
-fn choose2(x: u64) -> u64 {
-    x * x.saturating_sub(1) / 2
+/// The literal transcription of Algorithm 5 with Algorithm 3's
+/// triangle/triplet recurrence run per node (the forest's
+/// descending-coreness order is the top-down level sweep the recurrence
+/// needs). The test oracle for `triangles::triangle_totals` and the
+/// profiles built on it.
+#[cfg(test)]
+pub(crate) fn literal_alg5(o: &OrderedGraph<'_>, forest: &CoreForest) -> Vec<PrimaryValues> {
+    let node_count = forest.node_count();
+    let mut primaries = node_primaries(o, forest, None);
+
+    // Triangle/triplet sweep state (global across nodes; see Algorithm 3).
+    let n = o.num_vertices();
+    let mut f_gt = vec![0u32; n];
+    let mut f_ge = vec![0u32; n];
+    let mut marked = vec![0u32; n];
+    let mut mark_stamp = 0u32;
+    let mut nbr_seen = vec![u32::MAX; n];
+    let mut kshell_nbr: Vec<bestk_graph::VertexId> = Vec::new();
+
+    for i in 0..node_count {
+        let node = forest.node(cast::u32_of(i));
+        // Children first (they precede i in the array): aggregate.
+        let (mut tri, mut trip) = (0u64, 0u64);
+        for &c in &node.children {
+            tri += primaries[c as usize].triangles;
+            trip += primaries[c as usize].triplets;
+        }
+        // Triangles whose minimum-rank vertex lies in this shell.
+        for &v in &node.vertices {
+            mark_stamp += 1;
+            for &u in o.neighbors_gt_rank(v) {
+                marked[u as usize] = mark_stamp;
+            }
+            for &u in o.neighbors_gt_rank(v) {
+                for &w in o.neighbors_gt_rank(u) {
+                    if marked[w as usize] == mark_stamp {
+                        tri += 1;
+                    }
+                }
+            }
+        }
+        // Triplets centered in this shell.
+        for &v in &node.vertices {
+            trip += choose2(o.count_ge(v) as u64);
+        }
+        // New triplets centered in this core's deeper vertices.
+        kshell_nbr.clear();
+        for &v in &node.vertices {
+            for &u in o.neighbors_gt(v) {
+                if nbr_seen[u as usize] != cast::u32_of(i) {
+                    nbr_seen[u as usize] = cast::u32_of(i);
+                    kshell_nbr.push(u);
+                }
+            }
+        }
+        for &w in &kshell_nbr {
+            f_gt[w as usize] = f_ge[w as usize];
+        }
+        for &v in &node.vertices {
+            for &u in o.neighbors(v) {
+                f_ge[u as usize] += 1;
+            }
+        }
+        for &w in &kshell_nbr {
+            let gt_k = f_gt[w as usize] as u64;
+            let eq_k = (f_ge[w as usize] - f_gt[w as usize]) as u64;
+            trip += choose2(eq_k) + gt_k * eq_k;
+        }
+        primaries[i].triangles = tri;
+        primaries[i].triplets = trip;
+    }
+    primaries
 }
 
-/// Builds the full [`SingleCoreProfile`].
+/// Builds the full [`SingleCoreProfile`]. Sequential; the analysis
+/// pipeline builds both profiles from one parallel kernel pass with
+/// [`profiles_with`](crate::analysis::profiles_with).
 pub fn single_core_profile(
     o: &OrderedGraph<'_>,
     forest: &CoreForest,
     with_triangles: bool,
 ) -> SingleCoreProfile {
-    let _span = bestk_obs::span!("phase.sweep");
+    let totals = with_triangles.then(|| triangle_totals(o, Some(forest), &ExecPolicy::Sequential));
+    single_core_profile_from(o, forest, totals.as_ref())
+}
+
+/// The [`SingleCoreProfile`] of Algorithm 5's aggregation plus, when
+/// given, the kernel's per-node triangle and triplet totals.
+pub(crate) fn single_core_profile_from(
+    o: &OrderedGraph<'_>,
+    forest: &CoreForest,
+    totals: Option<&TriangleTotals>,
+) -> SingleCoreProfile {
+    let _span = bestk_obs::span!("phase.coreprof");
     SingleCoreProfile {
-        primaries: single_core_primaries(o, forest, with_triangles),
+        primaries: node_primaries(o, forest, totals),
         coreness: forest.nodes().iter().map(|n| n.coreness).collect(),
-        has_triangles: with_triangles,
+        has_triangles: totals.is_some(),
         context: GraphContext {
             total_vertices: o.num_vertices() as u64,
             total_edges: o.num_edges() as u64,
@@ -390,22 +434,7 @@ mod tests {
             let primaries = single_core_primaries(&o, &f, true);
             for i in 0..f.node_count() {
                 let verts = f.core_vertices(i as u32);
-                let sub = bestk_graph::subgraph::induced_subgraph(&g, &verts);
-                let sg = &sub.graph;
-                let mut tri = 0u64;
-                for v in sg.vertices() {
-                    for &u in sg.neighbors(v) {
-                        if u <= v {
-                            continue;
-                        }
-                        for &w in sg.neighbors(u) {
-                            if w > u && sg.has_edge(v, w) {
-                                tri += 1;
-                            }
-                        }
-                    }
-                }
-                let trip: u64 = sg.vertices().map(|v| choose2(sg.degree(v) as u64)).sum();
+                let (tri, trip) = crate::triangles::naive_triangles_triplets(&g, &verts);
                 assert_eq!(primaries[i].triangles, tri, "{label} node {i}");
                 assert_eq!(primaries[i].triplets, trip, "{label} node {i}");
             }

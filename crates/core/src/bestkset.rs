@@ -15,10 +15,14 @@
 //! Figure 5 series) without retraversal.
 
 use bestk_exec::ExecPolicy;
+#[cfg(test)]
 use bestk_graph::VertexId;
 
 use crate::metrics::{best_k, CommunityMetric, GraphContext, MetricError, PrimaryValues};
 use crate::ordering::OrderedGraph;
+#[cfg(test)]
+use crate::triangles::choose2;
+use crate::triangles::{triangle_totals, TriangleTotals};
 
 /// Per-k primary values of every k-core set, `k = 0 ..= kmax`.
 #[derive(Debug, Clone)]
@@ -187,7 +191,35 @@ pub fn core_set_primaries(o: &OrderedGraph<'_>) -> Vec<PrimaryValues> {
 
 /// Algorithm 3: like [`core_set_primaries`] but additionally maintains
 /// triangle and triplet counts, in `O(m^1.5)` time and `O(n)` extra space.
+///
+/// The triangle and triplet work is `triangles::triangle_totals`
+/// (sequential here); the k-core set `C_k` holds exactly the triangles
+/// and triplets attributed to levels `≥ k`, so a suffix sum over the
+/// levels finishes the sweep.
 pub fn core_set_primaries_with_triangles(o: &OrderedGraph<'_>) -> Vec<PrimaryValues> {
+    let totals = triangle_totals(o, None, &ExecPolicy::Sequential);
+    let mut primaries = core_set_primaries(o);
+    add_level_totals(&mut primaries, &totals);
+    primaries
+}
+
+/// Adds the suffix sums of the per-level triangle and triplet totals to
+/// the per-k primaries, top-down like the sweep itself.
+fn add_level_totals(primaries: &mut [PrimaryValues], totals: &TriangleTotals) {
+    let (mut triangle, mut triplet) = (0u64, 0u64);
+    for (k, pv) in primaries.iter_mut().enumerate().rev() {
+        triangle += totals.level_triangles[k];
+        triplet += totals.level_triplets[k];
+        pv.triangles = triangle;
+        pv.triplets = triplet;
+    }
+}
+
+/// The literal transcription of Algorithm 3 (lines 7–22): triangles and
+/// triplets maintained shell by shell during the top-down sweep. The test
+/// oracle for `triangles::triangle_totals` and the profiles built on it.
+#[cfg(test)]
+pub(crate) fn literal_alg3(o: &OrderedGraph<'_>) -> Vec<PrimaryValues> {
     let mut primaries = core_set_primaries(o);
     let d = o.decomposition();
     let n = d.num_vertices();
@@ -311,24 +343,30 @@ pub fn core_set_primaries_bottom_up(o: &OrderedGraph<'_>) -> Vec<PrimaryValues> 
     primaries
 }
 
-#[inline]
-fn choose2(x: u64) -> u64 {
-    x * x.saturating_sub(1) / 2
+/// Builds the full [`CoreSetProfile`]; runs Algorithm 3 when
+/// `with_triangles`, otherwise Algorithm 2. Sequential; the analysis
+/// pipeline builds both profiles from one parallel kernel pass with
+/// [`profiles_with`](crate::analysis::profiles_with).
+pub fn core_set_profile(o: &OrderedGraph<'_>, with_triangles: bool) -> CoreSetProfile {
+    let totals = with_triangles.then(|| triangle_totals(o, None, &ExecPolicy::Sequential));
+    core_set_profile_from(o, totals.as_ref())
 }
 
-/// Builds the full [`CoreSetProfile`]; runs Algorithm 3 when
-/// `with_triangles`, otherwise Algorithm 2.
-pub fn core_set_profile(o: &OrderedGraph<'_>, with_triangles: bool) -> CoreSetProfile {
+/// The [`CoreSetProfile`] of Algorithm 2's sweep plus, when given, the
+/// kernel's per-level triangle and triplet totals.
+pub(crate) fn core_set_profile_from(
+    o: &OrderedGraph<'_>,
+    totals: Option<&TriangleTotals>,
+) -> CoreSetProfile {
     let _span = bestk_obs::span!("phase.sweep");
-    let primaries = if with_triangles {
-        core_set_primaries_with_triangles(o)
-    } else {
-        core_set_primaries(o)
-    };
+    let mut primaries = core_set_primaries(o);
+    if let Some(totals) = totals {
+        add_level_totals(&mut primaries, totals);
+    }
     CoreSetProfile {
         kmax: o.decomposition().kmax(),
         primaries,
-        has_triangles: with_triangles,
+        has_triangles: totals.is_some(),
         context: GraphContext {
             total_vertices: o.num_vertices() as u64,
             total_edges: o.num_edges() as u64,
@@ -350,6 +388,7 @@ mod tests {
     use super::*;
     use crate::decomposition::core_decomposition;
     use crate::metrics::Metric;
+    use crate::triangles::naive_triangles_triplets;
     use bestk_graph::generators::{self, regular};
 
     fn profile(g: &bestk_graph::CsrGraph, triangles: bool) -> CoreSetProfile {
@@ -473,27 +512,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Naive per-subgraph triangle/triplet counts for cross-checking.
-    fn naive_triangles_triplets(g: &bestk_graph::CsrGraph, verts: &[VertexId]) -> (u64, u64) {
-        let sub = bestk_graph::subgraph::induced_subgraph(g, verts);
-        let sg = &sub.graph;
-        let mut triangles = 0u64;
-        for v in sg.vertices() {
-            for &u in sg.neighbors(v) {
-                if u <= v {
-                    continue;
-                }
-                for &w in sg.neighbors(u) {
-                    if w > u && sg.has_edge(v, w) {
-                        triangles += 1;
-                    }
-                }
-            }
-        }
-        let triplets = sg.vertices().map(|v| choose2(sg.degree(v) as u64)).sum();
-        (triangles, triplets)
     }
 
     #[test]

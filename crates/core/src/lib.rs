@@ -26,7 +26,7 @@
 //! | best single k-core | Alg. 5, §IV-C | [`bestcore`] |
 //! | primary values & metrics | §II-C | [`metrics`] |
 //! | baselines (comparators / oracles) | §III-A, §IV-B | [`baseline`] |
-//! | triangle counting primitives | ref. \[35\] | [`triangles`] |
+//! | triangle/triplet kernel + counting primitives | Alg. 3/5, ref. \[35\] | [`triangles`] |
 //!
 //! ## Quick start
 //!
@@ -64,7 +64,9 @@ pub mod triangles;
 pub mod verify;
 pub mod weighted;
 
-pub use analysis::{analyze, analyze_basic, analyze_basic_with, analyze_with, BestKAnalysis};
+pub use analysis::{
+    analyze, analyze_basic, analyze_basic_with, analyze_with, profiles_with, BestKAnalysis,
+};
 pub use bestcore::{best_single_core, single_core_profile, BestCore, SingleCoreProfile};
 pub use bestkset::{best_k_core_set, core_set_profile, BestKSet, CoreSetProfile};
 pub use decomposition::{

@@ -18,8 +18,8 @@
 //! thread count.
 
 use bestk_core::{
-    core_decomposition_with, core_set_profile, single_core_profile, CoreDecomposition, CoreForest,
-    CoreSetProfile, OrderedGraph, SingleCoreProfile,
+    core_decomposition_with, profiles_with, CoreDecomposition, CoreForest, CoreSetProfile,
+    OrderedGraph, SingleCoreProfile,
 };
 use bestk_exec::ExecPolicy;
 use bestk_faults::sites;
@@ -59,9 +59,8 @@ impl Artifacts {
     pub fn build<G: GraphView + Sync>(graph: &G, policy: &ExecPolicy) -> Artifacts {
         let decomp = core_decomposition_with(graph, policy);
         let ordered = OrderedGraph::build_with(graph, &decomp, policy);
-        let set_profile = core_set_profile(&ordered, true);
         let forest = CoreForest::build(graph, &decomp);
-        let core_profile = single_core_profile(&ordered, &forest, true);
+        let (set_profile, core_profile) = profiles_with(&ordered, &forest, true, policy);
         let (adj, same, plus, high) = ordered.into_parts();
         Artifacts {
             decomp,

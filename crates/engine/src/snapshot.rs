@@ -825,7 +825,10 @@ pub fn load_or_rebuild(
             if std::fs::rename(path, format!("{path}.quarantine")).is_ok() {
                 bestk_obs::counter("engine.quarantines").inc();
             }
-            let graph = bestk_graph::io::read_auto_path(source)?;
+            let graph = {
+                let _span = bestk_obs::span!("phase.load");
+                bestk_graph::io::read_auto_path(source)?
+            };
             let mut dataset = Dataset::from_graph(graph);
             dataset.ensure_built(policy);
             Ok((dataset, LoadOutcome::Rebuilt))

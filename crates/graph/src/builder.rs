@@ -222,28 +222,93 @@ fn counting_sort_by<T: Copy>(items: Vec<T>, buckets: usize, key: impl Fn(&T) -> 
 pub fn build_relabeled(
     edges: impl IntoIterator<Item = (u64, u64)>,
 ) -> Result<(CsrGraph, Vec<u64>), GraphError> {
-    let mut map: HashMap<u64, VertexId> = HashMap::new();
-    let mut original: Vec<u64> = Vec::new();
+    let mut ids = Relabeler::default();
     let mut b = GraphBuilder::new();
+    // Each pair stands for at least 16 bytes of input, so the direct table
+    // stays proportional to what was consumed.
+    let mut allowance = 0usize;
     for (u, v) in edges {
-        let mut id_of = |x: u64| -> Result<VertexId, GraphError> {
-            if let Some(&id) = map.get(&x) {
-                return Ok(id);
-            }
-            let next = original.len();
-            if next > u32::MAX as usize {
-                return Err(GraphError::TooManyVertices(next as u64 + 1));
-            }
-            let id = cast::vertex_id(next);
-            map.insert(x, id);
-            original.push(x);
-            Ok(id)
-        };
-        let du = id_of(u)?;
-        let dv = id_of(v)?;
+        allowance = allowance.saturating_add(16);
+        let du = ids.id_of(u, allowance)?;
+        let dv = ids.id_of(v, allowance)?;
         b.add_edge(du, dv);
     }
-    Ok((b.build(), original))
+    Ok((b.build(), ids.into_original()))
+}
+
+/// Dense relabeling of `u64` vertex ids in first-seen order.
+///
+/// Ids below the caller's `allowance` (a bound proportional to the input
+/// consumed so far) go through a direct-index table, which grows by
+/// doubling but never past the allowance; larger ids fall back to a hash
+/// map. A file of ids near `10^18` therefore allocates nothing
+/// proportional to the id values, while dense ids skip hashing entirely.
+#[derive(Default)]
+pub(crate) struct Relabeler {
+    /// `direct[x]` is the dense id of original id `x`, or [`UNSEEN`].
+    direct: Vec<VertexId>,
+    /// Dense ids of original ids first seen outside the direct table (and
+    /// of the one dense id equal to [`UNSEEN`]).
+    sparse: HashMap<u64, VertexId>,
+    /// `original[dense id]` = original id.
+    original: Vec<u64>,
+}
+
+/// The direct table's empty-slot marker.
+const UNSEEN: VertexId = VertexId::MAX;
+
+impl Relabeler {
+    /// The dense id of original id `x`, assigning the next one on first
+    /// sight. `allowance` bounds the direct table's length.
+    #[inline]
+    pub(crate) fn id_of(&mut self, x: u64, allowance: usize) -> Result<VertexId, GraphError> {
+        let Some(slot) = usize::try_from(x).ok().filter(|&i| i < allowance) else {
+            return self.id_of_sparse(x);
+        };
+        if slot >= self.direct.len() {
+            let len = (slot + 1).max(self.direct.len() * 2).min(allowance);
+            self.direct.resize(len, UNSEEN);
+        }
+        let id = self.direct[slot];
+        if id != UNSEEN {
+            return Ok(id);
+        }
+        // Seen before the table reached it: it lives in the hash map.
+        if let Some(&id) = self.sparse.get(&x) {
+            self.direct[slot] = id;
+            return Ok(id);
+        }
+        let id = self.assign(x)?;
+        if id == UNSEEN {
+            self.sparse.insert(x, id);
+        } else {
+            self.direct[slot] = id;
+        }
+        Ok(id)
+    }
+
+    fn id_of_sparse(&mut self, x: u64) -> Result<VertexId, GraphError> {
+        if let Some(&id) = self.sparse.get(&x) {
+            return Ok(id);
+        }
+        let id = self.assign(x)?;
+        self.sparse.insert(x, id);
+        Ok(id)
+    }
+
+    fn assign(&mut self, x: u64) -> Result<VertexId, GraphError> {
+        let next = self.original.len();
+        if next > u32::MAX as usize {
+            return Err(GraphError::TooManyVertices(next as u64 + 1));
+        }
+        self.original.push(x);
+        Ok(cast::vertex_id(next))
+    }
+
+    /// The `dense id -> original id` mapping.
+    pub(crate) fn into_original(self) -> Vec<u64> {
+        self.original
+    }
 }
 
 #[cfg(test)]
