@@ -4,7 +4,7 @@
 
 use bestk_bench::Bench;
 use bestk_core::core_decomposition;
-use bestk_core::hindex::{hindex_core_decomposition, hindex_core_decomposition_async};
+use bestk_core::hindex::hindex_core_decomposition;
 use bestk_graph::generators;
 
 fn bench_decomposition(b: &Bench) {
@@ -18,6 +18,9 @@ fn bench_decomposition(b: &Bench) {
             "cliques_20k",
             generators::overlapping_cliques(20_000, 3_000, (5, 25), 3),
         ),
+        // 197 nested shells: the deep-core shape, where a peel that
+        // rescanned per level would pay `n·kmax`.
+        ("k_chain197", generators::k_chain(197)),
     ] {
         let m = g.num_edges() as u64;
         b.run_elements(&format!("core_decomposition/{name}"), m, || {
@@ -37,9 +40,6 @@ fn bench_decomposition_strategies(b: &Bench) {
     });
     b.run_elements("decomposition_strategy/hindex_sync", m, || {
         hindex_core_decomposition(&g)
-    });
-    b.run_elements("decomposition_strategy/hindex_async", m, || {
-        hindex_core_decomposition_async(&g)
     });
 }
 

@@ -46,7 +46,7 @@ pub fn stats(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let policy = args.exec_policy()?;
     let g = backend_store(args, load_graph(args.positional(0, "graph")?)?)?;
     let s = stats::graph_stats(&g);
-    let d = bestk_core::core_decomposition_with(&g, &policy);
+    let d = bestk_core::core_decomposition(&g);
     if args.flag("verify") {
         let csr = g.as_csr()?;
         bestk_graph::verify::verify_graph(&csr).map_err(verify_failed)?;
@@ -605,7 +605,7 @@ pub fn mutate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
                 "focused" => {
                     // Hammer the max-k shell: the adversarial pattern where
                     // every op dirties the deepest sweep levels.
-                    let d = bestk_core::core_decomposition_with(&*csr, &policy);
+                    let d = bestk_core::core_decomposition(&*csr);
                     let focus = d.shell(d.kmax()).to_vec();
                     generators::edge_stream_focused(&csr, &focus, count, seed)
                 }

@@ -11,7 +11,7 @@ use bestk_graph::{GraphView, VertexId};
 
 use crate::bestcore::{single_core_profile_from, BestCore, SingleCoreProfile};
 use crate::bestkset::{core_set_profile_from, BestKSet, CoreSetProfile};
-use crate::decomposition::{core_decomposition_with, CoreDecomposition};
+use crate::decomposition::{core_decomposition, CoreDecomposition};
 use crate::forest::CoreForest;
 use crate::metrics::{CommunityMetric, MetricError};
 use crate::ordering::OrderedGraph;
@@ -40,12 +40,10 @@ pub fn analyze_basic<G: GraphView + Sync>(g: &G) -> BestKAnalysis {
     analyze_inner(g, false)
 }
 
-/// [`analyze`] under an execution policy: the peel dispatches to the
-/// [`PeelStrategy`](crate::PeelStrategy) the policy selects (the parallel
-/// bucket-frontier primary under `Parallel`, the sequential oracle
-/// otherwise), and the ordered-adjacency tag scan and the triangle kernel
-/// run on the shared runtime. The analysis is identical to the sequential
-/// one at every thread count.
+/// [`analyze`] under an execution policy: the peel is sequential, and the
+/// ordered-adjacency tag scan and the triangle kernel run on the shared
+/// runtime. The analysis is identical to the sequential one at every
+/// thread count.
 pub fn analyze_with<G: GraphView + Sync>(g: &G, policy: &ExecPolicy) -> BestKAnalysis {
     analyze_inner_with(g, true, policy)
 }
@@ -64,7 +62,7 @@ fn analyze_inner_with<G: GraphView + Sync>(
     with_triangles: bool,
     policy: &ExecPolicy,
 ) -> BestKAnalysis {
-    let decomp = core_decomposition_with(g, policy);
+    let decomp = core_decomposition(g);
     let ordered = OrderedGraph::build_with(g, &decomp, policy);
     let forest = CoreForest::build(g, &decomp);
     let (set_profile, core_profile) = profiles_with(&ordered, &forest, with_triangles, policy);

@@ -1,34 +1,14 @@
-//! Core decomposition (paper §II-A) under a canonical frontier peel.
+//! Core decomposition (paper §II-A) by the Batagelj–Zaveršnik peel.
 //!
-//! Peeling repeatedly removes every vertex of minimum current degree; the
-//! level `k` being peeled when a vertex is removed is its *coreness*. Both
-//! strategies here implement one **canonical peel order** so their output —
-//! coreness, rank order, shell boundaries, *and the peel order itself* — is
-//! bit-identical at every thread count:
-//!
-//! * a level `k` opens with every live vertex of current degree `k`,
-//!   ascending by id (the *opening frontier*);
-//! * the whole frontier is removed **simultaneously**, then each removed
-//!   vertex's live neighbors are decremented in frontier-scan order; the
-//!   vertices that cross the level (current degree ≤ `k`) form the next
-//!   *cascade frontier*, ordered by first crossing;
-//! * when the cascade dries up, the next level opens at the new minimum.
-//!
-//! [`PeelStrategy::Sequential`] (the oracle behind [`core_decomposition`])
-//! is the auditably simple transcription of that specification: it rescans
-//! all vertices at each level opening, `O(n·kmax + m)` total.
-//! [`PeelStrategy::Parallel`] ([`par_peel`]) is the primary path: a lazy
-//! bucket queue finds level openings in `O(n + m)` total, and each
-//! sub-round's degree decrements are *generated* in parallel on
-//! [`bestk_exec::ExecPolicy::for_each_disjoint`] — one count-prefixed
-//! event region per chunk — then *applied* in chunk order. Because the
-//! frontier is contiguously chunked, the chunk-order merge replays the
-//! exact sequential decrement order, which is what keeps the cascade
-//! frontiers (and therefore the peel order the Alg. 2 sweep and the
-//! snapshot serializer consume) identical. See `tests/peel_equivalence.rs`
-//! for the differential layer and DESIGN.md §17 for the contract.
+//! Peeling repeatedly removes a vertex of minimum current degree; the
+//! level being peeled when a vertex is removed is its *coreness*.
+//! [`core_decomposition`] is the `O(n + m)` bin-sort peel of Batagelj &
+//! Zaveršnik, "An O(m) Algorithm for Cores Decomposition of Networks".
+//! It is sequential and deterministic; parallelism lives downstream
+//! (ordering tags, triangles, sweeps), so every artifact built from a
+//! decomposition is identical at every thread count. See DESIGN.md §17.
 
-use bestk_exec::{prefix_sum, ExecPolicy};
+use bestk_exec::ExecPolicy;
 use bestk_graph::cast;
 use bestk_graph::{GraphView, VertexId};
 
@@ -45,7 +25,7 @@ pub struct CoreDecomposition {
     kmax: u32,
     /// Vertices sorted by (coreness, id) ascending.
     order: Vec<VertexId>,
-    /// Vertices in the canonical peel order (a degeneracy ordering).
+    /// Vertices in peel order (a degeneracy ordering).
     peel_order: Vec<VertexId>,
     /// `shell_start[k]..shell_start[k + 1]` indexes the k-shell `H_k` inside
     /// `order`. Length `kmax + 2`.
@@ -111,14 +91,11 @@ impl CoreDecomposition {
     }
 
     /// The peeling order — a true *degeneracy ordering*: when vertex `v` is
-    /// peeled, at most `c(v) ≤ kmax` of its neighbors are still unpeeled
-    /// (i.e. appear later in this order). Useful for branch-and-bound
-    /// algorithms such as maximum clique (paper §V-D).
-    ///
-    /// The order is *canonical* — defined by the graph alone, not by the
-    /// peel implementation — so both [`PeelStrategy`]s reproduce it
-    /// bit-identically (and v1 snapshots round-trip byte-for-byte under
-    /// either strategy).
+    /// peeled, at most `c(v)` of its neighbors are still unpeeled (i.e.
+    /// appear later in this order), and coreness is non-decreasing along
+    /// it. Useful for branch-and-bound algorithms such as maximum clique
+    /// (paper §V-D). Only these properties are part of the contract; the
+    /// order among equal-coreness vertices is whatever the peel produced.
     #[inline]
     pub fn peel_ordering(&self) -> &[VertexId] {
         &self.peel_order
@@ -211,89 +188,6 @@ impl CoreDecomposition {
     }
 }
 
-/// Which peel implementation a decomposition runs on.
-///
-/// Both strategies produce bit-identical [`CoreDecomposition`]s (the
-/// differential contract in `tests/peel_equivalence.rs`); they differ only
-/// in cost. `Sequential` is the auditable oracle, `Parallel` the primary
-/// production path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeelStrategy {
-    /// The straight-line transcription of the canonical peel: per-level
-    /// `O(n)` frontier rescans, direct in-place decrements. `O(n·kmax + m)`.
-    Sequential,
-    /// The bucket-frontier primary: lazy bucket queue for level openings
-    /// (`O(n + m)` total) and parallel decrement-event generation with a
-    /// deterministic chunk-order merge.
-    Parallel,
-}
-
-impl PeelStrategy {
-    /// The strategy an [`ExecPolicy`] selects: the parallel primary
-    /// whenever the policy spawns workers, the sequential oracle otherwise.
-    pub fn for_policy(policy: &ExecPolicy) -> PeelStrategy {
-        if policy.is_parallel() {
-            PeelStrategy::Parallel
-        } else {
-            PeelStrategy::Sequential
-        }
-    }
-
-    /// Runs this strategy's decomposition over `g`.
-    pub fn decompose<G: GraphView + Sync>(&self, g: &G, policy: &ExecPolicy) -> CoreDecomposition {
-        match self {
-            PeelStrategy::Sequential => core_decomposition(g),
-            PeelStrategy::Parallel => par_peel(g, policy, PAR_PEEL_MIN_WORK),
-        }
-    }
-}
-
-/// Minimum sub-round work (sum of frontier degrees) before [`par_peel`]
-/// dispatches event generation to worker threads; below it the events are
-/// generated inline. Output is identical either way — the threshold only
-/// gates the per-dispatch thread-spawn cost — so correctness tests force
-/// the parallel path with an explicit `min_work` of 0.
-const PAR_PEEL_MIN_WORK: usize = 32_768;
-
-/// Histogram bounds for `core.frontier_size` (sub-round frontier sizes).
-const FRONTIER_BOUNDS: &[u64] = &[1, 4, 16, 64, 256, 1024, 4096, 16384, 65536];
-
-/// Per-sub-round observability: both strategies record the same canonical
-/// round structure, so `phase.peel.rounds` and `core.frontier_size` are
-/// strategy- and thread-count-invariant (golden-covered in
-/// `tests/obs_golden.rs`).
-struct PeelObs {
-    rounds: bestk_obs::Counter,
-    frontier_size: bestk_obs::Histogram,
-}
-
-impl PeelObs {
-    fn new() -> PeelObs {
-        let registry = bestk_obs::registry();
-        PeelObs {
-            rounds: registry.counter("phase.peel.rounds"),
-            frontier_size: registry.histogram("core.frontier_size", FRONTIER_BOUNDS),
-        }
-    }
-
-    #[inline]
-    fn round(&self, frontier_len: usize) {
-        self.rounds.inc();
-        self.frontier_size.observe(frontier_len as u64);
-    }
-}
-
-/// The `n == 0` decomposition both strategies short-circuit to.
-fn empty_decomposition() -> CoreDecomposition {
-    CoreDecomposition {
-        coreness: Vec::new(),
-        kmax: 0,
-        order: Vec::new(),
-        peel_order: Vec::new(),
-        shell_start: vec![0, 0],
-    }
-}
-
 /// Bin-sorts `coreness` into the (coreness, id) rank order with shell
 /// boundaries (stable in id because vertices are scanned ascending) — the
 /// §III-A ordering — and assembles the final decomposition.
@@ -322,267 +216,75 @@ fn assemble(coreness: Vec<u32>, kmax: u32, peel_order: Vec<VertexId>) -> CoreDec
     }
 }
 
-/// Applies one degree decrement to `u` at level `k`: crossing the level
-/// queues `u` for the next cascade frontier exactly once; staying above it
-/// re-files `u` in the lazy bucket queue (when one is maintained). This is
-/// the *shared application step* both the sequential scan and the parallel
-/// chunk-order merge replay — identical event order in, identical state
-/// trajectory out.
-#[inline]
-fn apply_decrement(
-    u: VertexId,
-    k: usize,
-    cur: &mut [usize],
-    queued: &mut [bool],
-    next: &mut Vec<VertexId>,
-    mut buckets: Option<&mut Vec<Vec<VertexId>>>,
-) {
-    let uu = u as usize;
-    cur[uu] -= 1;
-    if queued[uu] {
-        return;
-    }
-    if cur[uu] <= k {
-        queued[uu] = true;
-        next.push(u);
-    } else if let Some(buckets) = buckets.as_mut() {
-        buckets[cur[uu]].push(u);
-    }
-}
-
-/// The sequential oracle: runs the canonical frontier peel exactly as
-/// specified in the module docs, favoring auditability over constants —
-/// every level opening is a fresh `O(n)` scan for the minimum live degree,
-/// and decrements are applied directly in frontier-scan order.
-/// `O(n·kmax + m)` time, `O(n)` extra space.
+/// The Batagelj–Zaveršnik peel: `O(n + m)` time, `O(n)` extra space.
 ///
-/// This is the reference [`par_peel`] is differentially tested against;
-/// see [`core_decomposition_with`] for the policy-dispatched entry point.
+/// Vertices are counting-sorted by degree into `vert` (bucket `d` starts
+/// at `bin[d]`; `pos` inverts `vert`) and processed front to back. When
+/// `v` is processed, every neighbor `u` still in a higher bucket drops one
+/// bucket: it swaps with the first vertex of its bucket and the bucket
+/// start moves past it. A processed vertex's bucket is its coreness, and
+/// the processing sequence is [`peel_ordering`](CoreDecomposition::peel_ordering).
 pub fn core_decomposition<G: GraphView>(g: &G) -> CoreDecomposition {
     let _span = bestk_obs::span!("phase.peel");
     let n = g.num_vertices();
-    if n == 0 {
-        return empty_decomposition();
+    // `cur[v]`: v's bucket — an upper bound on its unprocessed neighbors
+    // while v waits, its coreness once processed.
+    let mut cur: Vec<u32> = (0..n)
+        .map(|v| cast::u32_of(g.degree(cast::vertex_id(v))))
+        .collect();
+    let top = cur.iter().copied().max().unwrap_or(0) as usize;
+    let mut bin = vec![0usize; top + 1];
+    for &c in &cur {
+        bin[c as usize] += 1;
     }
-    let obs = PeelObs::new();
-    let mut cur: Vec<usize> = (0..n).map(|v| g.degree(cast::vertex_id(v))).collect();
-    // `queued`: scheduled for peeling (frontier membership is permanent);
-    // `peeled`: actually removed from the graph — the two differ only for
-    // vertices sitting in the not-yet-processed cascade frontier.
-    let mut queued = vec![false; n];
-    let mut peeled = vec![false; n];
-    let mut coreness = vec![0u32; n];
-    let mut peel_order: Vec<VertexId> = Vec::with_capacity(n);
-    let mut kmax = 0u32;
-    let mut remaining = n;
-    let mut frontier: Vec<VertexId> = Vec::new();
-    let mut next: Vec<VertexId> = Vec::new();
-    while remaining > 0 {
-        // Open the next level: the minimum current degree over live
-        // vertices, frontier collected ascending by id in the same scan.
-        let mut k = usize::MAX;
-        frontier.clear();
-        for v in 0..n {
-            if queued[v] {
-                continue;
+    let mut start = 0;
+    for slot in &mut bin {
+        let size = *slot;
+        *slot = start;
+        start += size;
+    }
+    let mut vert: Vec<VertexId> = vec![0; n];
+    let mut pos: Vec<u32> = vec![0; n];
+    let mut fill = bin.clone();
+    for (v, &c) in cur.iter().enumerate() {
+        let at = &mut fill[c as usize];
+        vert[*at] = cast::vertex_id(v);
+        pos[v] = cast::u32_of(*at);
+        *at += 1;
+    }
+    for i in 0..n {
+        let v = vert[i];
+        let cv = cur[v as usize];
+        for u in g.neighbors(v) {
+            let uu = u as usize;
+            let cu = cur[uu];
+            if cu > cv {
+                let front = bin[cu as usize];
+                let w = vert[front];
+                let at = pos[uu];
+                vert[at as usize] = w;
+                pos[w as usize] = at;
+                vert[front] = u;
+                pos[uu] = cast::u32_of(front);
+                bin[cu as usize] += 1;
+                cur[uu] = cu - 1;
             }
-            if cur[v] < k {
-                k = cur[v];
-                frontier.clear();
-            }
-            if cur[v] == k {
-                frontier.push(cast::vertex_id(v));
-            }
-        }
-        for &v in &frontier {
-            queued[v as usize] = true;
-        }
-        let level = cast::u32_of(k);
-        kmax = level; // levels open in strictly increasing order
-        while !frontier.is_empty() {
-            obs.round(frontier.len());
-            remaining -= frontier.len();
-            // Simultaneous removal: the whole frontier leaves the graph
-            // before any decrement is generated, so edges internal to the
-            // frontier never decrement anybody.
-            for &v in &frontier {
-                peeled[v as usize] = true;
-                coreness[v as usize] = level;
-                peel_order.push(v);
-            }
-            next.clear();
-            for &v in &frontier {
-                for u in g.neighbors(v) {
-                    if !peeled[u as usize] {
-                        apply_decrement(u, k, &mut cur, &mut queued, &mut next, None);
-                    }
-                }
-            }
-            std::mem::swap(&mut frontier, &mut next);
         }
     }
-    assemble(coreness, kmax, peel_order)
+    // Buckets are processed in non-decreasing order, so the last vertex
+    // carries the largest coreness.
+    let kmax = vert.last().map_or(0, |&v| cur[v as usize]);
+    assemble(cur, kmax, vert)
 }
 
-/// [`core_decomposition`] under an execution policy: dispatches to the
-/// [`PeelStrategy`] the policy selects. The primary entry point for every
-/// engine build/rebuild/compaction and CLI path; output is bit-identical
-/// to the sequential oracle at every thread count.
+/// [`core_decomposition`] with an execution policy, kept for callers that
+/// thread one through. The peel is sequential, so the policy is unused;
+/// the output is the same at every thread count.
 pub fn core_decomposition_with<G: GraphView + Sync>(
     g: &G,
-    policy: &ExecPolicy,
+    _policy: &ExecPolicy,
 ) -> CoreDecomposition {
-    PeelStrategy::for_policy(policy).decompose(g, policy)
-}
-
-/// The parallel primary: bucket-frontier peeling.
-///
-/// Level openings come from a *lazy bucket queue* — every vertex always has
-/// an entry filed under its current degree (stale higher entries are
-/// skipped on drain), so advancing the level pointer is `O(n + m)` over the
-/// whole run instead of the oracle's per-level rescan. Opening frontiers
-/// are sorted ascending by id to match the canonical order; cascade
-/// frontiers need no sort because the decrement *events* are already
-/// replayed in the oracle's scan order.
-///
-/// Each sub-round with at least `min_work` total frontier degree generates
-/// its decrement events on [`ExecPolicy::for_each_disjoint`]: the frontier
-/// is chunked by cumulative degree, each chunk writes the live-neighbor
-/// events of its contiguous frontier slice into a private count-prefixed
-/// region, and the regions are then applied in chunk order. Concatenating
-/// contiguous chunks in chunk order *is* the frontier-scan order, so the
-/// merged event stream — and with it every `cur`/bucket/frontier
-/// trajectory — is identical to the sequential oracle's.
-///
-/// `min_work` gates the per-dispatch thread-spawn cost; pass 0 to force
-/// every sub-round through the parallel machinery (what the differential
-/// tests do on small graphs).
-pub fn par_peel<G: GraphView + Sync>(
-    g: &G,
-    policy: &ExecPolicy,
-    min_work: usize,
-) -> CoreDecomposition {
-    let _span = bestk_obs::span!("phase.peel");
-    let n = g.num_vertices();
-    if n == 0 {
-        return empty_decomposition();
-    }
-    let obs = PeelObs::new();
-    let mut cur: Vec<usize> = (0..n).map(|v| g.degree(cast::vertex_id(v))).collect();
-    let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); g.max_degree() + 1];
-    for v in 0..n {
-        buckets[cur[v]].push(cast::vertex_id(v));
-    }
-    let mut queued = vec![false; n];
-    let mut peeled = vec![false; n];
-    let mut coreness = vec![0u32; n];
-    let mut peel_order: Vec<VertexId> = Vec::with_capacity(n);
-    let mut kmax = 0u32;
-    let mut remaining = n;
-    let mut frontier: Vec<VertexId> = Vec::new();
-    let mut next: Vec<VertexId> = Vec::new();
-    // Reused event buffer: one count-prefixed region per chunk per
-    // dispatched sub-round.
-    let mut events: Vec<VertexId> = Vec::new();
-    let mut k = 0usize;
-    while remaining > 0 {
-        // Advance the level pointer over the lazy bucket queue. An entry
-        // is live iff its vertex still has exactly this degree and was
-        // never scheduled; every live vertex has a live entry, so the
-        // first non-empty drain is exactly the oracle's opening frontier.
-        frontier.clear();
-        while frontier.is_empty() {
-            let bucket = std::mem::take(&mut buckets[k]);
-            for v in bucket {
-                let vu = v as usize;
-                if !queued[vu] && cur[vu] == k {
-                    frontier.push(v);
-                }
-            }
-            if frontier.is_empty() {
-                k += 1;
-            }
-        }
-        frontier.sort_unstable(); // canonical: openings ascend by id
-        for &v in &frontier {
-            queued[v as usize] = true;
-        }
-        let level = cast::u32_of(k);
-        kmax = level;
-        while !frontier.is_empty() {
-            obs.round(frontier.len());
-            remaining -= frontier.len();
-            for &v in &frontier {
-                peeled[v as usize] = true;
-                coreness[v as usize] = level;
-                peel_order.push(v);
-            }
-            next.clear();
-            let prefix = prefix_sum(frontier.iter().map(|&v| g.degree(v)));
-            let work = prefix[frontier.len()];
-            if policy.is_parallel() && work >= min_work.max(1) {
-                let plan = policy.plan_weighted(&prefix);
-                let chunks = plan.num_chunks();
-                // Region `c` holds chunk `c`'s events behind one count
-                // slot: `cuts` shifts each degree-balanced boundary right
-                // by its chunk index to make room.
-                let cuts: Vec<usize> = plan
-                    .bounds()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &b)| prefix[b] + i)
-                    .collect();
-                events.clear();
-                events.resize(work + chunks, 0);
-                let frontier_ref = &frontier;
-                let peeled_ref = &peeled;
-                policy.for_each_disjoint(
-                    &plan,
-                    &mut events,
-                    &cuts,
-                    || (),
-                    |_, _, items, region| {
-                        let mut count = 0usize;
-                        for i in items {
-                            for u in g.neighbors(frontier_ref[i]) {
-                                if !peeled_ref[u as usize] {
-                                    count += 1;
-                                    region[count] = u;
-                                }
-                            }
-                        }
-                        region[0] = cast::u32_of(count);
-                    },
-                );
-                // Deterministic ordered merge: applying the regions in
-                // chunk order replays the sequential decrement order.
-                for c in 0..chunks {
-                    let region = &events[cuts[c]..cuts[c + 1]];
-                    let count = region[0] as usize;
-                    for &u in &region[1..=count] {
-                        apply_decrement(u, k, &mut cur, &mut queued, &mut next, Some(&mut buckets));
-                    }
-                }
-            } else {
-                for &v in &frontier {
-                    for u in g.neighbors(v) {
-                        if !peeled[u as usize] {
-                            apply_decrement(
-                                u,
-                                k,
-                                &mut cur,
-                                &mut queued,
-                                &mut next,
-                                Some(&mut buckets),
-                            );
-                        }
-                    }
-                }
-            }
-            std::mem::swap(&mut frontier, &mut next);
-        }
-    }
-    assemble(coreness, kmax, peel_order)
+    core_decomposition(g)
 }
 
 #[cfg(test)]
@@ -689,72 +391,20 @@ mod tests {
     }
 
     #[test]
-    fn canonical_peel_order_on_fixed_shapes() {
-        // A cycle is one simultaneous level-2 frontier: ascending by id.
+    fn peel_order_on_fixed_shapes() {
+        // Pinned because v1 snapshots persist the peel order: changing it
+        // changes their bytes. A cycle is one bucket, processed by id.
         let d = core_decomposition(&regular::cycle(6));
         assert_eq!(d.peel_ordering(), &[0, 1, 2, 3, 4, 5]);
 
-        // A star peels all leaves in one level-1 opening, then the hub
-        // cascades (its degree collapses past the level).
+        // A star peels all leaves first; the hub follows at level 1.
         let d = core_decomposition(&regular::star(4));
         assert_eq!(d.peel_ordering(), &[1, 2, 3, 4, 0]);
 
-        // A path peels both endpoints, then cascades inward pairwise from
-        // the ends, in decrement (= frontier-scan) order.
+        // A path peels both endpoints, then drops their inner neighbors
+        // into the level-1 bucket and works inward from both ends.
         let d = core_decomposition(&regular::path(6));
         assert_eq!(d.peel_ordering(), &[0, 5, 1, 4, 2, 3]);
-    }
-
-    #[test]
-    fn par_peel_is_bit_identical_to_the_oracle() {
-        // The unit-level differential smoke; the full sweep (adversarial
-        // shapes, snapshot bytes, tags) lives in tests/peel_equivalence.rs.
-        for seed in 0..4 {
-            let g = generators::erdos_renyi_gnm(120, 400, seed);
-            let want = core_decomposition(&g);
-            for threads in [1, 2, 4, 7] {
-                let policy = ExecPolicy::with_threads(threads).unwrap();
-                let got = par_peel(&g, &policy, 0);
-                assert_eq!(got, want, "seed {seed}, {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn strategy_dispatch_follows_the_policy() {
-        assert_eq!(
-            PeelStrategy::for_policy(&ExecPolicy::Sequential),
-            PeelStrategy::Sequential
-        );
-        let par = ExecPolicy::with_threads(3).unwrap();
-        assert_eq!(PeelStrategy::for_policy(&par), PeelStrategy::Parallel);
-        // And the policy entry point agrees with the oracle either way.
-        let g = generators::erdos_renyi_gnm(80, 240, 9);
-        let want = core_decomposition(&g);
-        assert_eq!(core_decomposition_with(&g, &ExecPolicy::Sequential), want);
-        assert_eq!(core_decomposition_with(&g, &par), want);
-    }
-
-    #[test]
-    fn peel_obs_rounds_are_strategy_invariant() {
-        use std::sync::Arc;
-        let g = generators::erdos_renyi_gnm(100, 300, 5);
-        let clock = || Arc::new(bestk_obs::ManualClock::with_step(1)) as Arc<dyn bestk_obs::Clock>;
-        let ((), seq) = bestk_obs::with_fresh(clock(), || {
-            core_decomposition(&g);
-        });
-        let policy = ExecPolicy::with_threads(4).unwrap();
-        let ((), par) = bestk_obs::with_fresh(clock(), || {
-            par_peel(&g, &policy, 0);
-        });
-        let rounds = seq.counter("phase.peel.rounds");
-        assert!(rounds.is_some_and(|r| r > 0), "rounds must be recorded");
-        assert_eq!(rounds, par.counter("phase.peel.rounds"));
-        assert_eq!(
-            seq.histogram("core.frontier_size"),
-            par.histogram("core.frontier_size"),
-            "frontier-size histogram must be strategy-invariant"
-        );
     }
 
     /// Definitional check: c(v) ≥ k iff v survives peeling to min degree k.
@@ -805,6 +455,19 @@ mod tests {
     }
 
     #[test]
+    fn matches_naive_peeling_on_deep_shells() {
+        // Many levels: the shapes where a per-level rescan would cost
+        // `n·kmax`, and where bucket moves cross the most boundaries.
+        for (name, g) in [
+            ("k-chain", generators::k_chain(12)),
+            ("shell-ladder", generators::shell_ladder(6, 8)),
+        ] {
+            let d = core_decomposition(&g);
+            assert_eq!(d.coreness_slice(), &naive_coreness(&g)[..], "{name}");
+        }
+    }
+
+    #[test]
     fn peel_ordering_is_a_degeneracy_ordering() {
         for (name, g) in [
             ("cl", generators::chung_lu_power_law(400, 8.0, 2.4, 10)),
@@ -824,9 +487,9 @@ mod tests {
                     .filter(|&&u| position[u as usize] > position[v as usize])
                     .count();
                 assert!(
-                    later <= d.kmax() as usize,
-                    "{name}: vertex {v} has {later} later neighbors > kmax {}",
-                    d.kmax()
+                    later <= d.coreness(v) as usize,
+                    "{name}: vertex {v} has {later} later neighbors > c(v) {}",
+                    d.coreness(v)
                 );
             }
         }

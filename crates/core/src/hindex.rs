@@ -91,35 +91,6 @@ pub fn hindex_core_decomposition_with<G: GraphView + Sync>(
     }
 }
 
-/// Asynchronous variant: updates in place (Gauss–Seidel style), which
-/// converges in fewer rounds; the fixpoint is identical.
-pub fn hindex_core_decomposition_async<G: GraphView>(g: &G) -> HIndexDecomposition {
-    let n = g.num_vertices();
-    let mut values: Vec<u32> = (0..n)
-        .map(|v| cast::u32_of(g.degree(cast::vertex_id(v))))
-        .collect();
-    let mut scratch: Vec<u32> = Vec::new();
-    let mut rounds = 0usize;
-    loop {
-        let mut changed = false;
-        for v in 0..n {
-            let h = neighborhood_h_index(g, cast::vertex_id(v), &values, &mut scratch);
-            if h != values[v] {
-                values[v] = h;
-                changed = true;
-            }
-        }
-        rounds += 1;
-        if !changed {
-            break;
-        }
-    }
-    HIndexDecomposition {
-        coreness: values,
-        rounds,
-    }
-}
-
 /// The h-index of `v`'s neighbor values, computed with a counting pass
 /// bounded by `d(v)` (values above the degree can be clamped: the h-index
 /// never exceeds the list length).
@@ -158,10 +129,6 @@ mod tests {
         let d = core_decomposition(&g);
         let h = hindex_core_decomposition(&g);
         assert_eq!(h.coreness, d.coreness_slice());
-        let ha = hindex_core_decomposition_async(&g);
-        assert_eq!(ha.coreness, d.coreness_slice());
-        // Async converges at least as fast.
-        assert!(ha.rounds <= h.rounds);
     }
 
     #[test]
@@ -172,12 +139,7 @@ mod tests {
             assert_eq!(
                 hindex_core_decomposition(&g).coreness,
                 d.coreness_slice(),
-                "sync seed {seed}"
-            );
-            assert_eq!(
-                hindex_core_decomposition_async(&g).coreness,
-                d.coreness_slice(),
-                "async seed {seed}"
+                "seed {seed}"
             );
         }
     }

@@ -69,9 +69,7 @@ pub use analysis::{
 };
 pub use bestcore::{best_single_core, single_core_profile, BestCore, SingleCoreProfile};
 pub use bestkset::{best_k_core_set, core_set_profile, BestKSet, CoreSetProfile};
-pub use decomposition::{
-    core_decomposition, core_decomposition_with, par_peel, CoreDecomposition, PeelStrategy,
-};
+pub use decomposition::{core_decomposition, core_decomposition_with, CoreDecomposition};
 pub use forest::{CoreForest, CoreForestNode};
 pub use metrics::{best_k, CommunityMetric, GraphContext, Metric, MetricError, PrimaryValues};
 pub use ordering::OrderedGraph;

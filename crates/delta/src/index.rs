@@ -39,8 +39,8 @@ use std::collections::BinaryHeap;
 
 use bestk_core::bestkset::core_set_primaries;
 use bestk_core::{
-    core_decomposition, core_decomposition_with, BestKSet, CoreSetProfile, GraphContext, Metric,
-    MetricError, OrderedGraph, PrimaryValues,
+    core_decomposition, BestKSet, CoreSetProfile, GraphContext, Metric, MetricError, OrderedGraph,
+    PrimaryValues,
 };
 use bestk_exec::ExecPolicy;
 use bestk_graph::generators::EdgeOp;
@@ -225,22 +225,17 @@ impl DeltaIndex {
     /// Builds the index from scratch through the paper's pipeline (this is
     /// also the equivalence oracle: applying ops must reproduce `build` of
     /// the mutated graph exactly).
-    pub fn build<G: GraphView>(g: &G) -> DeltaIndex {
-        let decomp = core_decomposition(g);
-        Self::assemble_from(g, decomp)
+    pub fn build<G: GraphView + Sync>(g: &G) -> DeltaIndex {
+        Self::build_with(g, &ExecPolicy::Sequential)
     }
 
-    /// [`build`](Self::build) under an execution policy: the peel runs on
-    /// the [`PeelStrategy`](bestk_core::PeelStrategy) the policy selects
-    /// (bit-identical output either way), which is what the engine's
-    /// commit-after-eviction rebuild routes through.
+    /// [`build`](Self::build) under an execution policy: the Alg. 1 tag
+    /// scan runs on the policy's workers (identical output at every thread
+    /// count), which is what the engine's commit-after-eviction rebuild
+    /// routes through.
     pub fn build_with<G: GraphView + Sync>(g: &G, policy: &ExecPolicy) -> DeltaIndex {
-        let decomp = core_decomposition_with(g, policy);
-        Self::assemble_from(g, decomp)
-    }
-
-    fn assemble_from<G: GraphView>(g: &G, decomp: bestk_core::CoreDecomposition) -> DeltaIndex {
-        let ordered = OrderedGraph::build(g, &decomp);
+        let decomp = core_decomposition(g);
+        let ordered = OrderedGraph::build_with(g, &decomp, policy);
         let primaries = core_set_primaries(&ordered);
         let n = g.num_vertices();
         let offsets = g.degree_offsets();

@@ -18,8 +18,8 @@
 //! thread count.
 
 use bestk_core::{
-    core_decomposition_with, profiles_with, CoreDecomposition, CoreForest, CoreSetProfile,
-    OrderedGraph, SingleCoreProfile,
+    core_decomposition, profiles_with, CoreDecomposition, CoreForest, CoreSetProfile, OrderedGraph,
+    SingleCoreProfile,
 };
 use bestk_exec::ExecPolicy;
 use bestk_faults::sites;
@@ -57,7 +57,7 @@ impl Artifacts {
     /// (`O(m^1.5)` — triangles are always computed so triangle metrics
     /// answer without a rebuild).
     pub fn build<G: GraphView + Sync>(graph: &G, policy: &ExecPolicy) -> Artifacts {
-        let decomp = core_decomposition_with(graph, policy);
+        let decomp = core_decomposition(graph);
         let ordered = OrderedGraph::build_with(graph, &decomp, policy);
         let forest = CoreForest::build(graph, &decomp);
         let (set_profile, core_profile) = profiles_with(&ordered, &forest, true, policy);

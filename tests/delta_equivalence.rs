@@ -237,12 +237,12 @@ fn triangle_metrics_rebuild_lazily_after_focused_mutation() {
 
 #[test]
 fn triangle_rebuild_after_parallel_commit_matches_cold_sequential() {
-    // The parallel-peel variant of the lazy-rebuild drill above: the whole
-    // engine path — warm-up build, delta maintenance across the focused
-    // commit, and the lazy triangle-artifact rebuild — runs under the
-    // *parallel* bucket-frontier strategy, and every triangle-metric
-    // answer must still match a cold sequential rebuild of the mutated
-    // graph. This is the `mutate --stream focused` CLI path in miniature.
+    // The parallel-policy variant of the lazy-rebuild drill above: the
+    // whole engine path — warm-up build, delta maintenance across the
+    // focused commit, and the lazy triangle-artifact rebuild — runs under
+    // a *parallel* policy, and every triangle-metric answer must still
+    // match a cold sequential rebuild of the mutated graph. This is the
+    // `mutate --stream focused` CLI path in miniature.
     let g = generators::overlapping_cliques(40, 5, (4, 7), 31);
     let d = core_decomposition(&g);
     let focus = d.shell(d.kmax()).to_vec();

@@ -1,15 +1,14 @@
-//! Engine-level determinism contract for the parallel peel: every path
-//! that *rebuilds* artifacts inside the serving stack — a clean rebuild
-//! from a source edge list, quarantine recovery from a corrupt snapshot,
-//! and the write-ahead-log compaction that rewrites the snapshot in place
-//! — must produce **byte-identical** snapshots (v1 and v2) whether the
-//! build ran under the sequential oracle or the parallel bucket-frontier
-//! primary at any thread count.
+//! Engine-level thread-count invariance: every path that *rebuilds*
+//! artifacts inside the serving stack — a clean rebuild from a source
+//! edge list, quarantine recovery from a corrupt snapshot, and the
+//! write-ahead-log compaction that rewrites the snapshot in place — must
+//! produce **byte-identical** snapshots (v1 and v2) whether the build ran
+//! sequentially or on the shared runtime at any thread count.
 //!
-//! This is what makes `PeelStrategy::Parallel` safe as the default for
-//! `ExecPolicy::Parallel` in the CLI and server: operators can mix
-//! `--threads` values across restarts, replicas, and recovery events and
-//! still get bit-reproducible `.bestk` files.
+//! The peel itself is sequential; the ordering tags, triangle kernel, and
+//! sweeps downstream of it run on the policy's workers. This suite is what
+//! lets operators mix `--threads` values across restarts, replicas, and
+//! recovery events and still get bit-reproducible `.bestk` files.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -30,8 +29,8 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The deterministic base graph: deep shells over a dense core, the shape
-/// where the two strategies' internal schedules diverge the most.
+/// The deterministic base graph: deep shells over a dense core, so every
+/// level of the sweep and every tag class is populated.
 fn base_graph() -> CsrGraph {
     generators::shell_ladder(7, 9)
 }
@@ -164,8 +163,8 @@ fn wal_compaction_is_byte_identical_across_strategies() {
     // Stage COMPACT_OPS valid mutations and commit once: the commit folds
     // the log and rewrites the snapshot path as a v2 file. That on-disk
     // compacted snapshot — produced entirely inside the engine, under
-    // whatever policy the operator ran with — must be byte-identical
-    // across strategies, and so must the dataset the engine keeps serving.
+    // whatever policy the operator ran with — must be byte-identical at
+    // every thread count, and so must the dataset the engine keeps serving.
     let dir = scratch_dir("compact");
     let g = generators::erdos_renyi_gnm(120, 420, 9);
     let ops = edge_stream_mixed(&g, bestk_engine::COMPACT_OPS as usize, 41);

@@ -1,53 +1,56 @@
-//! The differential test layer for the two peel strategies.
+//! The differential test layer for the core decomposition.
 //!
-//! `PeelStrategy::Parallel` ([`par_peel`]) is the primary decomposition
-//! path; `PeelStrategy::Sequential` ([`core_decomposition`]) is the
-//! oracle. This suite proves they are **bit-identical** — coreness, rank
-//! order, shell boundaries, the peel order itself, the Alg. 1 position
-//! tags, the Alg. 2 per-k primaries, and the serialized `.bestk` snapshot
-//! bytes (v1 *and* v2) — at threads {1, 2, 4, 7}, over random graphs and
-//! the adversarial shapes (`k_chain`, `shell_ladder`, `tie_storm`,
-//! max-degeneracy cliques).
-//!
-//! A third, independent reference implementation of the canonical peel
-//! lives in this file and exposes what the production API hides (sub-round
-//! ids and the decrement count), pinning the frontier/bucket invariants:
-//! monotone non-decreasing peel level, disjoint frontiers covering every
-//! vertex exactly once, and conservation of decrements (every edge
-//! decrements exactly once unless both endpoints leave in the same
-//! simultaneous sub-round).
+//! [`core_decomposition`] is the one Batagelj–Zaveršnik peel. This suite
+//! checks it against the independent h-index oracle and the full
+//! decomposition verifier (coreness, rank order, shells, and a degeneracy
+//! peel order with at most `c(v)` later neighbors per vertex), and proves
+//! everything built from it is **bit-identical** at threads {1, 2, 4, 7}:
+//! the decomposition, the Alg. 1 position tags, the Alg. 2 per-k and
+//! Alg. 5 per-core primaries (through the parallel triangle kernel), and
+//! the serialized `.bestk` snapshot bytes (v1 *and* v2). Shapes cover
+//! random graphs, sparse and degenerate inputs, and the adversarial
+//! generators (`k_chain`, `shell_ladder`, `tie_storm`, max-degeneracy
+//! cliques).
 //!
 //! Random cases run on the seeded in-repo property harness
 //! (`BESTK_PROP_SEED` / `BESTK_PROP_CASES`), like the other equivalence
 //! suites.
 
+use bestk::core::hindex::hindex_core_decomposition;
+use bestk::core::verify::verify_decomposition;
 use bestk::core::{
-    core_decomposition, core_decomposition_with, core_set_profile, par_peel, CoreDecomposition,
-    OrderedGraph, PeelStrategy,
+    core_decomposition, core_decomposition_with, profiles_with, CoreForest, OrderedGraph,
 };
 use bestk::exec::ExecPolicy;
 use bestk::graph::generators::{self, regular};
 use bestk::graph::testkit::{check, Gen};
-use bestk::graph::{CsrGraph, VertexId};
+use bestk::graph::CsrGraph;
 use bestk_engine::{snapshot, snapv2, Dataset};
 
-/// Thread counts the parallel strategy is exercised at. 7 is deliberately
-/// prime and larger than the chunk-per-worker alignment assumptions.
+/// Thread counts every artifact is rebuilt at. 7 is deliberately prime
+/// and larger than the chunk-per-worker alignment assumptions.
 const THREADS: [usize; 4] = [1, 2, 4, 7];
 
-/// Forces every sub-round through `for_each_disjoint`, however small.
-const FORCE_PARALLEL: usize = 0;
-
-/// Asserts the parallel primary reproduces the oracle bit-for-bit on `g`,
-/// including the downstream artifacts the sweep consumes (tags and per-k
-/// primaries).
-fn assert_strategies_agree(g: &CsrGraph, context: &str) {
+/// Checks the decomposition of `g` against the oracles, then rebuilds it
+/// and the artifacts the sweeps consume at every thread count and asserts
+/// they match the sequential build exactly.
+fn assert_correct_and_thread_count_invariant(g: &CsrGraph, context: &str) {
     let want = core_decomposition(g);
+    assert_eq!(
+        want.coreness_slice(),
+        &hindex_core_decomposition(g).coreness[..],
+        "{context}: coreness disagrees with h-index iteration"
+    );
+    if let Err(e) = verify_decomposition(g, &want) {
+        panic!("{context}: decomposition fails verification: {e}");
+    }
+    let forest = CoreForest::build(g, &want);
     let want_ordered = OrderedGraph::build(g, &want);
-    let want_profile = core_set_profile(&want_ordered, true);
+    let (want_set, want_core) =
+        profiles_with(&want_ordered, &forest, true, &ExecPolicy::Sequential);
     for threads in THREADS {
         let policy = ExecPolicy::with_threads(threads).unwrap();
-        let got = par_peel(g, &policy, FORCE_PARALLEL);
+        let got = core_decomposition_with(g, &policy);
         assert_eq!(got, want, "{context}: decomposition at {threads} threads");
         let ordered = OrderedGraph::build_with(g, &got, &policy);
         assert_eq!(
@@ -55,17 +58,14 @@ fn assert_strategies_agree(g: &CsrGraph, context: &str) {
             want_ordered.raw_tags(),
             "{context}: Alg. 1 tags at {threads} threads"
         );
-        let profile = core_set_profile(&ordered, true);
+        let (set, core) = profiles_with(&ordered, &forest, true, &policy);
         assert_eq!(
-            profile.primaries, want_profile.primaries,
+            set.primaries, want_set.primaries,
             "{context}: Alg. 2 primaries at {threads} threads"
         );
-        // The policy-dispatched entry point (production min-work gate)
-        // must agree too, not just the forced-dispatch path.
         assert_eq!(
-            core_decomposition_with(g, &policy),
-            want,
-            "{context}: core_decomposition_with at {threads} threads"
+            core.primaries, want_core.primaries,
+            "{context}: Alg. 5 primaries at {threads} threads"
         );
     }
 }
@@ -74,7 +74,7 @@ fn assert_strategies_agree(g: &CsrGraph, context: &str) {
 fn random_graphs_are_bit_identical() {
     check("peel equivalence random sweep", 24, |gen: &mut Gen| {
         let g = gen.graph(60, 220);
-        assert_strategies_agree(&g, "random");
+        assert_correct_and_thread_count_invariant(&g, "random");
     });
 }
 
@@ -93,15 +93,15 @@ fn sparse_and_degenerate_shapes_are_bit_identical() {
         ("star", regular::star(17)),
         ("figure2", generators::paper_figure2()),
     ] {
-        assert_strategies_agree(&g, name);
+        assert_correct_and_thread_count_invariant(&g, name);
     }
 }
 
 #[test]
 fn adversarial_shapes_are_bit_identical() {
     // Maximum shell depth, wide shells over a deep core, cross-component
-    // ties, and max-degeneracy constructions (a clique peels in one
-    // simultaneous frontier; a clique chain cascades through bridges).
+    // ties, and max-degeneracy constructions (a clique is one bucket; a
+    // clique chain moves vertices across bridges).
     for (name, g) in [
         ("k-chain", generators::k_chain(10)),
         ("shell-ladder", generators::shell_ladder(8, 7)),
@@ -113,21 +113,22 @@ fn adversarial_shapes_are_bit_identical() {
             generators::overlapping_cliques(80, 8, (4, 9), 17),
         ),
     ] {
-        assert_strategies_agree(&g, name);
+        assert_correct_and_thread_count_invariant(&g, name);
     }
 }
 
 #[test]
-fn snapshot_bytes_are_identical_under_both_strategies() {
-    // The end-to-end determinism contract: a dataset built under the
-    // parallel policy serializes to the *same bytes* as one built by the
-    // sequential oracle — v1 (which persists the peel order) and v2.
+fn snapshot_bytes_are_identical_at_every_thread_count() {
+    // The end-to-end determinism contract: a dataset built at any thread
+    // count serializes to the *same bytes* as a sequential build — v1
+    // (which persists the peel order) and v2.
     let dir = std::env::temp_dir().join(format!("bestk-peel-eq-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     for (name, g) in [
         ("random", generators::erdos_renyi_gnm(300, 1200, 41)),
         ("ladder", generators::shell_ladder(7, 9)),
+        ("k-chain", generators::k_chain(10)),
     ] {
         let mut reference = Dataset::from_graph(g.clone());
         reference.ensure_built(&ExecPolicy::Sequential);
@@ -136,7 +137,7 @@ fn snapshot_bytes_are_identical_under_both_strategies() {
         let v2_path = dir.join(format!("{name}-seq.bestk"));
         snapv2::save_path(&reference, &v2_path).expect("save v2");
         let v2_want = std::fs::read(&v2_path).expect("read v2");
-        for threads in [2, 4, 7] {
+        for threads in THREADS {
             let policy = ExecPolicy::with_threads(threads).unwrap();
             let mut ds = Dataset::from_graph(g.clone());
             ds.ensure_built(&policy);
@@ -153,197 +154,4 @@ fn snapshot_bytes_are_identical_under_both_strategies() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// What the reference peel exposes beyond the production API.
-struct ReferencePeel {
-    peel_order: Vec<VertexId>,
-    coreness: Vec<u32>,
-    /// Global sub-round index (across levels) each vertex was removed in.
-    round: Vec<usize>,
-    /// Number of degree decrements applied over the whole run.
-    decrements: usize,
-    /// Total number of sub-rounds.
-    rounds: usize,
-}
-
-/// A third, independent transcription of the canonical peel (kept
-/// deliberately naive): per level, collect every live vertex of minimum
-/// degree ascending by id; peel whole frontiers simultaneously; decrement
-/// live neighbors in frontier-scan order; vertices crossing the level form
-/// the next frontier in first-crossing order.
-fn reference_peel(g: &CsrGraph) -> ReferencePeel {
-    let n = g.num_vertices();
-    let mut cur: Vec<usize> = (0..n).map(|v| g.degree(v as VertexId)).collect();
-    let mut queued = vec![false; n];
-    let mut peeled = vec![false; n];
-    let mut coreness = vec![0u32; n];
-    let mut round = vec![0usize; n];
-    let mut peel_order = Vec::with_capacity(n);
-    let mut decrements = 0usize;
-    let mut rounds = 0usize;
-    let mut remaining = n;
-    while remaining > 0 {
-        let k = (0..n)
-            .filter(|&v| !queued[v])
-            .map(|v| cur[v])
-            .min()
-            .expect("remaining > 0");
-        let mut frontier: Vec<VertexId> = (0..n)
-            .filter(|&v| !queued[v] && cur[v] == k)
-            .map(|v| v as VertexId)
-            .collect();
-        for &v in &frontier {
-            queued[v as usize] = true;
-        }
-        while !frontier.is_empty() {
-            remaining -= frontier.len();
-            for &v in &frontier {
-                peeled[v as usize] = true;
-                coreness[v as usize] = k as u32;
-                round[v as usize] = rounds;
-                peel_order.push(v);
-            }
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &u in g.neighbors(v) {
-                    let uu = u as usize;
-                    if peeled[uu] {
-                        continue;
-                    }
-                    cur[uu] -= 1;
-                    decrements += 1;
-                    if !queued[uu] && cur[uu] <= k {
-                        queued[uu] = true;
-                        next.push(u);
-                    }
-                }
-            }
-            rounds += 1;
-            frontier = next;
-        }
-    }
-    ReferencePeel {
-        peel_order,
-        coreness,
-        round,
-        decrements,
-        rounds,
-    }
-}
-
-/// Checks the frontier/bucket invariants of one decomposition against the
-/// reference peel's exposed internals.
-fn assert_frontier_invariants(g: &CsrGraph, d: &CoreDecomposition, context: &str) {
-    let n = g.num_vertices();
-    let r = reference_peel(g);
-    assert_eq!(d.peel_ordering(), &r.peel_order[..], "{context}: order");
-    assert_eq!(d.coreness_slice(), &r.coreness[..], "{context}: coreness");
-
-    // Disjoint frontiers covering every vertex exactly once: the peel
-    // order is a permutation (checked via positions) and round ids are
-    // monotone non-decreasing along it, as are the levels.
-    let mut position = vec![usize::MAX; n];
-    for (i, &v) in d.peel_ordering().iter().enumerate() {
-        assert_eq!(position[v as usize], usize::MAX, "{context}: duplicate");
-        position[v as usize] = i;
-    }
-    assert!(
-        position.iter().all(|&p| p != usize::MAX),
-        "{context}: cover"
-    );
-    for w in d.peel_ordering().windows(2) {
-        let (a, b) = (w[0] as usize, w[1] as usize);
-        assert!(
-            r.round[a] <= r.round[b],
-            "{context}: rounds must be contiguous runs of the peel order"
-        );
-        assert!(
-            d.coreness_slice()[a] <= d.coreness_slice()[b],
-            "{context}: peel level must be monotone non-decreasing"
-        );
-    }
-
-    // Conservation of decrements: each edge decrements exactly once —
-    // when its first endpoint leaves — unless both endpoints leave in the
-    // same simultaneous sub-round, in which case it never does.
-    let intra: usize = g
-        .edges()
-        .filter(|&(u, v)| r.round[u as usize] == r.round[v as usize])
-        .count();
-    assert_eq!(
-        r.decrements + intra,
-        g.num_edges(),
-        "{context}: every edge decrements exactly once or is intra-frontier"
-    );
-
-    // Frozen-degree invariant: at removal, a vertex's live degree is at
-    // most its level — so at most c(v) of its neighbors appear at or
-    // after its own sub-round (strictly later rounds or same-round).
-    for v in 0..n {
-        let later = g
-            .neighbors(v as VertexId)
-            .iter()
-            .filter(|&&u| r.round[u as usize] >= r.round[v])
-            .count();
-        assert!(
-            later <= d.coreness_slice()[v] as usize,
-            "{context}: vertex {v} kept {later} live neighbors past level {}",
-            d.coreness_slice()[v]
-        );
-    }
-}
-
-#[test]
-fn frontier_and_bucket_invariants_hold_for_both_strategies() {
-    check("peel frontier invariants", 16, |gen: &mut Gen| {
-        let g = gen.graph(40, 140);
-        assert_frontier_invariants(&g, &core_decomposition(&g), "oracle");
-        let policy = ExecPolicy::with_threads(4).unwrap();
-        assert_frontier_invariants(&g, &par_peel(&g, &policy, FORCE_PARALLEL), "primary");
-    });
-}
-
-#[test]
-fn observed_rounds_and_frontier_sizes_are_strategy_invariant() {
-    use std::sync::Arc;
-    // Both strategies must report the identical canonical round structure
-    // to bestk-obs — that is what keeps the metrics golden stable across
-    // thread counts — and the histogram must account for every vertex
-    // exactly once (frontier disjointness, observed externally).
-    let g = generators::shell_ladder(6, 8);
-    let reference = reference_peel(&g);
-    let clock = || Arc::new(bestk::obs::ManualClock::with_step(1)) as Arc<dyn bestk::obs::Clock>;
-    let ((), seq) = bestk::obs::with_fresh(clock(), || {
-        core_decomposition(&g);
-    });
-    let rounds = seq.counter("phase.peel.rounds").expect("rounds recorded");
-    let hist = seq.histogram("core.frontier_size").expect("sizes recorded");
-    assert_eq!(rounds as usize, reference.rounds);
-    assert_eq!(hist.count as usize, reference.rounds);
-    assert_eq!(hist.sum as usize, g.num_vertices(), "frontiers cover n");
-    for threads in THREADS {
-        let policy = ExecPolicy::with_threads(threads).unwrap();
-        let ((), par) = bestk::obs::with_fresh(clock(), || {
-            par_peel(&g, &policy, FORCE_PARALLEL);
-        });
-        assert_eq!(par.counter("phase.peel.rounds"), Some(rounds), "{threads}");
-        assert_eq!(
-            par.histogram("core.frontier_size"),
-            Some(hist),
-            "{threads} threads"
-        );
-    }
-}
-
-#[test]
-fn strategy_selection_follows_the_policy() {
-    assert_eq!(
-        PeelStrategy::for_policy(&ExecPolicy::Sequential),
-        PeelStrategy::Sequential
-    );
-    for threads in [2, 4, 7] {
-        let policy = ExecPolicy::with_threads(threads).unwrap();
-        assert_eq!(PeelStrategy::for_policy(&policy), PeelStrategy::Parallel);
-    }
 }

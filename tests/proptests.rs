@@ -60,17 +60,11 @@ fn peeling_matches_hindex_iteration() {
     check("peeling_matches_hindex_iteration", 64, |gen| {
         let g = gen.graph(48, 200);
         let peel = core_decomposition(&g);
-        let sync = bestk::core::hindex::hindex_core_decomposition(&g);
-        let async_ = bestk::core::hindex::hindex_core_decomposition_async(&g);
+        let hindex = bestk::core::hindex::hindex_core_decomposition(&g);
         assert_eq!(
             peel.coreness_slice(),
-            &sync.coreness[..],
-            "sync h-index disagrees"
-        );
-        assert_eq!(
-            peel.coreness_slice(),
-            &async_.coreness[..],
-            "async h-index disagrees"
+            &hindex.coreness[..],
+            "h-index disagrees"
         );
     });
 }
