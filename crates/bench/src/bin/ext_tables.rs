@@ -43,7 +43,7 @@ fn main() {
     let mut time_row: Vec<String> = vec!["decomp (s)".into()];
     for spec in &specs {
         eprintln!("truss-decomposing {} ...", spec.key);
-        let g = bestk_bench::load(spec);
+        let g = bestk_bench::load_dataset(spec);
         let idx = EdgeIndex::build(&g);
         let (t, took) =
             time(|| bestk_truss::decomposition::truss_decomposition_with_index(&g, &idx));
@@ -82,7 +82,7 @@ fn main() {
     let mut smax_row: Vec<String> = vec!["smax".into()];
     for spec in &specs {
         eprintln!("weighted-decomposing {} ...", spec.key);
-        let g = bestk_bench::load(spec);
+        let g = bestk_bench::load_dataset(spec);
         let mut rng = Xoshiro256::seed_from_u64(spec.seed ^ 0x77);
         let mut b = WeightedGraphBuilder::new();
         b.reserve_vertices(g.num_vertices());

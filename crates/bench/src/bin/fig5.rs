@@ -41,7 +41,7 @@ fn main() {
         );
         println!("dataset,k,score");
         for spec in &specs {
-            let g = bestk_bench::load(spec);
+            let g = bestk_bench::load_dataset(spec);
             let a = analyze_basic(&g);
             let scores = a.core_set_scores(&metric);
             for (k, s) in scores.iter().enumerate() {

@@ -37,7 +37,7 @@ fn main() {
         println!("# Figure 6 ({}): score of every k-core", metric.abbrev());
         println!("dataset,c,k,score_smoothed");
         for spec in &specs {
-            let g = bestk_bench::load(spec);
+            let g = bestk_bench::load_dataset(spec);
             let a = analyze_basic(&g);
             let seq = a.single_core_scores(&metric);
             // The paper smooths LiveJournal with window 20, the others 5.

@@ -41,7 +41,7 @@ fn main() {
     ]);
     for spec in selected_specs() {
         eprintln!("running {} ...", spec.key);
-        let g = bestk_bench::load(&spec);
+        let g = bestk_bench::load_dataset(&spec);
         let (d, t_decomp) = time(|| core_decomposition(&g));
         let (o, t_index) = time(|| OrderedGraph::build(&g, &d));
         for metric in metrics {

@@ -35,7 +35,7 @@ fn main() {
     ]);
     for spec in selected_specs() {
         eprintln!("running {} ...", spec.key);
-        let g = bestk_bench::load(&spec);
+        let g = bestk_bench::load_dataset(&spec);
         let (d, t_decomp) = time(|| core_decomposition(&g));
         let ((o, forest), t_index) =
             time(|| (OrderedGraph::build(&g, &d), CoreForest::build(&g, &d)));

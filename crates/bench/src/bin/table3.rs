@@ -18,7 +18,7 @@ fn main() {
         "load (s)",
     ]);
     for spec in selected_specs() {
-        let (g, load_time) = time(|| bestk_bench::load(&spec));
+        let (g, load_time) = time(|| bestk_bench::load_dataset(&spec));
         let s = graph_stats(&g);
         let d = core_decomposition(&g);
         table.row([

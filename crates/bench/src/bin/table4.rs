@@ -17,7 +17,7 @@ fn main() {
 
     for spec in &specs {
         eprintln!("analyzing {} ...", spec.key);
-        let g = bestk_bench::load(spec);
+        let g = bestk_bench::load_dataset(spec);
         let a = analyze(&g);
         for (i, m) in Metric::ALL.iter().enumerate() {
             let cs = a

@@ -38,7 +38,7 @@ fn main() {
     ]);
     for spec in selected_specs() {
         eprintln!("running {} ...", spec.key);
-        let g = bestk_bench::load(&spec);
+        let g = bestk_bench::load_dataset(&spec);
         // Both methods share the analysis; time it into both columns the way
         // the paper's end-to-end numbers do.
         let (analysis, t_analysis) = time(|| analyze_basic(&g));

@@ -25,7 +25,7 @@ fn main() {
         std::process::exit(2);
     };
     eprintln!("running Opt-SC queries on {} ...", spec.key);
-    let g = bestk_bench::load(&spec);
+    let g = bestk_bench::load_dataset(&spec);
     let analysis = analyze_basic(&g);
     let d = analysis.decomposition();
 

@@ -160,7 +160,7 @@ pub fn generate(spec: &DatasetSpec) -> CsrGraph {
 }
 
 /// Loads the dataset through the on-disk cache (`target/bestk-datasets/`).
-pub fn load(spec: &DatasetSpec) -> CsrGraph {
+pub fn load_dataset(spec: &DatasetSpec) -> CsrGraph {
     let dir = cache_dir();
     // Cache key covers the full parameterization so spec changes invalidate.
     let mut hash = bestk_graph::rng::SplitMix64 {

@@ -33,7 +33,7 @@ pub mod harness;
 pub mod table;
 pub mod timer;
 
-pub use datasets::{all_specs, load, spec_by_key, DatasetSpec};
+pub use datasets::{all_specs, load_dataset, spec_by_key, DatasetSpec};
 pub use harness::Bench;
 pub use table::TableWriter;
 pub use timer::time;

@@ -7,8 +7,7 @@ use bestk_core::{
     analyze as analyze_graph, analyze_basic, analyze_basic_with, analyze_with, CommunityMetric,
     Metric,
 };
-use bestk_engine::GraphStore;
-use bestk_graph::{generators, io, stats, SuccinctCsr};
+use bestk_graph::{generators, io, stats};
 
 use crate::args::ParsedArgs;
 use crate::{load_graph, metric_by_abbrev, CliError};
@@ -27,30 +26,16 @@ fn verify_failed(e: bestk_graph::verify::VerifyError) -> CliError {
     CliError::Failed(format!("verification FAILED: {e}"))
 }
 
-/// Resolves `--backend` into a [`GraphStore`] holding `g`. The default is
-/// the canonical CSR; `succinct` re-encodes into the compressed backend,
-/// exercising the same code path the serving engine uses.
-fn backend_store(args: &ParsedArgs, g: bestk_graph::CsrGraph) -> Result<GraphStore, CliError> {
-    match args.opt("backend").unwrap_or("csr") {
-        "csr" => Ok(GraphStore::from(g)),
-        "succinct" => Ok(GraphStore::from(SuccinctCsr::from_csr(&g))),
-        other => Err(CliError::Usage(format!(
-            "--backend expects csr or succinct, got {other:?}"
-        ))),
-    }
-}
-
-/// `bestk stats <graph> [--backend csr|succinct] [--verify] [--threads N]`.
+/// `bestk stats <graph> [--verify] [--threads N]`.
 pub fn stats(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    args.reject_unknown(&["verify", "threads", "backend"])?;
+    args.reject_unknown(&["verify", "threads"])?;
     let policy = args.exec_policy()?;
-    let g = backend_store(args, load_graph(args.positional(0, "graph")?)?)?;
+    let g = load_graph(args.positional(0, "graph")?)?;
     let s = stats::graph_stats(&g);
     let d = bestk_core::core_decomposition(&g);
     if args.flag("verify") {
-        let csr = g.as_csr()?;
-        bestk_graph::verify::verify_graph(&csr).map_err(verify_failed)?;
-        bestk_core::verify::verify_decomposition(&csr, &d).map_err(verify_failed)?;
+        bestk_graph::verify::verify_graph(&g).map_err(verify_failed)?;
+        bestk_core::verify::verify_decomposition(&g, &d).map_err(verify_failed)?;
     }
     writeln!(out, "vertices        {}", s.num_vertices)?;
     writeln!(out, "edges           {}", s.num_edges)?;
@@ -66,15 +51,6 @@ pub fn stats(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "top core size   {}", cs.top_core_size)?;
     let cc = bestk_graph::connectivity::connected_components(&g);
     writeln!(out, "components      {}", cc.count)?;
-    if args.opt("backend").is_some() {
-        writeln!(
-            out,
-            "backend         {} ({} heap bytes, {:.2}x vs csr)",
-            g.backend_name(),
-            g.resident_heap_bytes(),
-            g.compression_ratio()
-        )?;
-    }
     if args.flag("verify") {
         writeln!(
             out,
@@ -470,28 +446,19 @@ fn timeout_opt(args: &ParsedArgs) -> Result<Option<std::time::Duration>, CliErro
     Ok(Some(std::time::Duration::from_millis(ms)))
 }
 
-/// `bestk snapshot <graph> <out.bestk> [--format v1|v2] [--threads N]`:
-/// build the full index and persist it in the `.bestk` format. `--format
-/// v2` writes the mmap-friendly layout that the engine opens zero-copy;
-/// both formats load transparently (`bestk query`, the serving loop, and
-/// `load_or_rebuild` sniff the magic).
+/// `bestk snapshot <graph> <out.bestk> [--threads N]`: build the full
+/// index and persist it in the `.bestk` format, which the engine opens
+/// zero-copy. Files written in the retired v1 format are rejected with a
+/// typed version-skew error; this command rewrites them from their graph.
 pub fn snapshot(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    args.reject_unknown(&["threads", "format"])?;
+    args.reject_unknown(&["threads"])?;
     let policy = args.exec_policy()?;
     let src = args.positional(0, "graph")?;
     let dst = args.positional(1, "out.bestk")?;
     let g = load_graph(src)?;
     let mut ds = bestk_engine::Dataset::from_graph(g);
     ds.ensure_built(&policy);
-    match args.opt("format").unwrap_or("v1") {
-        "v1" => bestk_engine::snapshot::save_path(&ds, dst)?,
-        "v2" => bestk_engine::save_snapshot_v2_path(&ds, dst)?,
-        other => {
-            return Err(CliError::Usage(format!(
-                "--format expects v1 or v2, got {other:?}"
-            )))
-        }
-    }
+    bestk_engine::snapv2::save_path(&ds, dst)?;
     match ds.answer(&bestk_engine::Query::Stats) {
         Ok(stats) => writeln!(out, "wrote {dst}\t{}", stats.to_line())?,
         Err(e) => return Err(CliError::Engine(e)),
@@ -598,7 +565,7 @@ pub fn mutate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
             let count: usize = args.opt_num("count", 100)?;
             let seed: u64 = args.opt_num("seed", 1)?;
             let dataset = engine.guard().checkout("g")?;
-            let csr = dataset.graph().as_csr()?;
+            let csr = dataset.graph().as_csr();
             match family {
                 "mixed" => generators::edge_stream_mixed(&csr, count, seed),
                 "delete-heavy" => generators::edge_stream_delete_heavy(&csr, count, seed),
@@ -747,24 +714,25 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
             let stdin = std::io::stdin();
             match record {
                 None => {
-                    bestk_engine::serve_lines_with(
+                    bestk_engine::serve_lines(
                         &engine,
                         &policy,
                         stdin.lock(),
                         &mut *out,
                         &limits,
+                        None,
                     )?;
                 }
                 Some(path) => {
                     let spec = std::env::var("BESTK_FAULTS").unwrap_or_default();
                     let mut recorder = bestk_engine::ServeRecorder::new(&limits, &spec);
-                    bestk_engine::serve_lines_recorded(
+                    bestk_engine::serve_lines(
                         &engine,
                         &policy,
                         stdin.lock(),
                         &mut *out,
                         &limits,
-                        &mut recorder,
+                        Some(&mut recorder),
                     )?;
                     recorder.save(path)?;
                     writeln!(out, "recorded\t{path}")?;
@@ -1383,40 +1351,25 @@ mod tests {
     }
 
     #[test]
-    fn stats_backend_flag_is_observation_invariant() {
-        let path = write_figure2();
-        let csr = run(&["stats", &path, "--backend", "csr"]).unwrap();
-        let succinct = run(&["stats", &path, "--backend=succinct"]).unwrap();
-        // Identical stats, different backend trailer.
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with("backend"))
-                .map(|l| format!("{l}\n"))
-                .collect::<String>()
-        };
-        assert_eq!(strip(&csr), strip(&succinct));
-        assert_eq!(strip(&csr), run(&["stats", &path]).unwrap());
-        assert!(csr.contains("backend         csr"), "{csr}");
-        assert!(succinct.contains("backend         succinct"), "{succinct}");
-        assert!(run(&["stats", &path, "--backend", "mips"]).is_err());
-        // --verify re-checks against the canonical CSR on every backend.
-        let out = run(&["stats", &path, "--backend=succinct", "--verify"]).unwrap();
-        assert!(out.contains("invariants hold"), "{out}");
+    fn retired_flags_are_rejected() {
+        let graph = write_figure2();
+        let snap = fixture_path("fig2-flags.bestk");
+        assert!(run(&["stats", &graph, "--backend", "csr"]).is_err());
+        assert!(run(&["snapshot", &graph, &snap, "--format", "v2"]).is_err());
     }
 
     #[test]
-    fn snapshot_v2_round_trips_through_query() {
+    fn snapshot_round_trips_through_query() {
         let graph = write_figure2();
-        let snap = fixture_path("fig2-v2.bestk");
-        let out = run(&["snapshot", &graph, &snap, "--format", "v2"]).unwrap();
+        let snap = fixture_path("fig2-snap.bestk");
+        let out = run(&["snapshot", &graph, &snap]).unwrap();
         assert!(out.contains("stats\tn=12\tm=19\tkmax=3"), "{out}");
-        // The query path sniffs the magic and opens v2 zero-copy.
+        // The query path opens the snapshot zero-copy.
         let out = run(&["query", &snap, "stats", "bestkset ad", "coreof 5"]).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], "ok\tstats\tn=12\tm=19\tkmax=3\tcores=3");
         assert_eq!(lines[1], "ok\tbestkset\tad\tk=2\tscore=3.1666666666666665");
         assert_eq!(lines[2], "ok\tcoreof\t5\tcoreness=2");
-        assert!(run(&["snapshot", &graph, &snap, "--format", "v9"]).is_err());
     }
 
     #[test]
@@ -1472,13 +1425,13 @@ mod tests {
         let policy = bestk_exec::ExecPolicy::auto();
         let session = format!("load g {snap}\nquery g stats\nquit\n");
         let mut replies = Vec::new();
-        bestk_engine::serve_lines_recorded(
+        bestk_engine::serve_lines(
             &engine,
             &policy,
             session.as_bytes(),
             &mut replies,
             &limits,
-            &mut recorder,
+            Some(&mut recorder),
         )
         .unwrap();
         let rec = fixture_path("session.bestkrec");

@@ -91,7 +91,7 @@ impl From<bestk_engine::EngineError> for CliError {
 
 const USAGE: &str = "usage: bestk <command> [args]
 commands:
-  stats    <graph> [--backend csr|succinct]          dataset statistics
+  stats    <graph>                                   dataset statistics
   analyze  <graph> [--metric M] [--extended]         best k per metric
   profile  <graph> --metric M [--single]             per-k scores (CSV)
   densest  <graph> [--method opt-d|core-app|peel|exact]
@@ -101,9 +101,11 @@ commands:
   truss    <graph> [--metric M] [--single]           best k-truss (set)
   generate <family> --n N [--m M|--avg-deg D|...] --seed S --out FILE
   convert  <in> <out>                                text <-> binary
-  snapshot <graph> <out.bestk> [--threads N] [--format v1|v2]
-                                                     persist the full index
-                                                     (v2 opens zero-copy)
+  snapshot <graph> <out.bestk> [--threads N]        persist the best-k index
+                                                     (opens zero-copy; files
+                                                     from the retired v1
+                                                     format are rejected and
+                                                     must be rewritten here)
   query    <snapshot> <query>... [--threads N] [--budget-mb N]
                                                      one-shot snapshot queries
   mutate   <snapshot> [add:u:v|del:u:v ...] [--stream mixed|delete-heavy|focused

@@ -2,8 +2,7 @@
 //! artifacts.
 //!
 //! The artifacts are everything the paper's query algorithms need, owned
-//! (no borrowed `OrderedGraph` — the raw arrays are kept and validated
-//! through `from_parts` on load):
+//! (no borrowed `OrderedGraph` — the raw arrays are kept):
 //!
 //! * the core decomposition (coreness, rank order, peel order, shells),
 //! * the Algorithm 1 ordering (rank-sorted adjacency + position tags),
@@ -97,14 +96,14 @@ impl Artifacts {
 }
 
 /// The index side of a dataset: absent, owned heap artifacts, or a
-/// zero-copy view into a mapped v2 snapshot.
+/// zero-copy view into a mapped snapshot.
 #[derive(Debug, Clone)]
 pub enum Index {
     /// No index resident; queries refuse until [`Dataset::ensure_built`].
     None,
-    /// Fully materialized heap artifacts (v1 loads and fresh builds).
-    Owned(Artifacts),
-    /// Profiles plus mapped coreness from an opened v2 snapshot.
+    /// Fully materialized heap artifacts (fresh builds).
+    Owned(Box<Artifacts>),
+    /// Profiles plus mapped coreness from an opened snapshot.
     Mapped(MappedIndex),
 }
 
@@ -131,24 +130,7 @@ impl Dataset {
         }
     }
 
-    /// Wraps any storage backend with no artifacts yet.
-    pub fn from_store(store: GraphStore) -> Dataset {
-        Dataset {
-            store,
-            index: Index::None,
-        }
-    }
-
-    /// Assembles a dataset from already-validated parts (the snapshot
-    /// loader's constructor).
-    pub fn from_built(graph: CsrGraph, artifacts: Artifacts) -> Dataset {
-        Dataset {
-            store: GraphStore::from(graph),
-            index: Index::Owned(artifacts),
-        }
-    }
-
-    /// Assembles a dataset from an opened v2 snapshot: a mapped graph plus
+    /// Assembles a dataset from an opened snapshot: a mapped graph plus
     /// its mapped index.
     pub fn from_mapped(store: GraphStore, index: MappedIndex) -> Dataset {
         Dataset {
@@ -162,7 +144,7 @@ impl Dataset {
     pub fn with_artifacts(&self, artifacts: Artifacts) -> Dataset {
         Dataset {
             store: self.store.clone(),
-            index: Index::Owned(artifacts),
+            index: Index::Owned(Box::new(artifacts)),
         }
     }
 
@@ -188,17 +170,17 @@ impl Dataset {
     }
 
     /// The owned artifacts, if resident. Mapped datasets return `None` —
-    /// they answer queries but cannot be re-serialized to v1 or rebuilt
-    /// into an `OrderedGraph` without materializing first.
+    /// they answer queries but cannot be re-serialized or rebuilt into an
+    /// `OrderedGraph` without building first.
     #[inline]
     pub fn artifacts(&self) -> Option<&Artifacts> {
         match &self.index {
-            Index::Owned(art) => Some(art),
+            Index::Owned(art) => Some(art.as_ref()),
             _ => None,
         }
     }
 
-    /// The mapped index, when this dataset came from a v2 snapshot.
+    /// The mapped index, when this dataset came from a snapshot.
     #[inline]
     pub fn mapped_index(&self) -> Option<&MappedIndex> {
         match &self.index {
@@ -214,7 +196,7 @@ impl Dataset {
         if self.is_built() {
             return false;
         }
-        self.index = Index::Owned(Artifacts::build(&self.store, policy));
+        self.index = Index::Owned(Box::new(Artifacts::build(&self.store, policy)));
         true
     }
 

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use bestk_exec::ExecPolicy;
 use bestk_faults::sites;
-use bestk_graph::{CsrGraph, GraphView, SuccinctCsr};
+use bestk_graph::{CsrGraph, GraphView};
 
 use crate::dataset::{Artifacts, Dataset};
 use crate::error::EngineError;
@@ -138,13 +138,6 @@ impl Engine {
     /// query). Replaces any dataset previously registered under the name.
     pub fn insert_graph(&mut self, name: &str, graph: CsrGraph) {
         self.register(name, Dataset::from_graph(graph));
-    }
-
-    /// Registers a graph compressed into the succinct backend: identical
-    /// answers, a fraction of the resident bytes, slower neighbor scans.
-    pub fn insert_graph_succinct(&mut self, name: &str, graph: &CsrGraph) {
-        let store = crate::store::GraphStore::from(SuccinctCsr::from_csr(graph));
-        self.register(name, Dataset::from_store(store));
     }
 
     /// Loads a `.bestk` snapshot from `path` and registers it under `name`.
@@ -292,9 +285,7 @@ impl Engine {
         bestk_obs::gauge("engine.datasets").set(self.slots.len() as i64);
     }
 
-    /// Per-dataset storage gauges: the backend's resident footprint and
-    /// its compression ratio versus the canonical CSR, in permille so the
-    /// integer gauge keeps three decimals (1000 = parity with CSR).
+    /// Per-dataset storage gauge: the dataset's resident footprint.
     fn record_slot_gauges(&self, name: &str) {
         let Some(slot) = self.slots.get(name) else {
             return;
@@ -304,11 +295,6 @@ impl Engine {
             "engine.dataset.resident_bytes{{dataset=\"{name}\"}}"
         ))
         .set(ds.resident_bytes() as i64);
-        let permille = (ds.graph().compression_ratio() * 1000.0).round() as i64;
-        bestk_obs::gauge(&format!(
-            "engine.dataset.compression_permille{{dataset=\"{name}\"}}"
-        ))
-        .set(permille);
     }
 
     /// Answers one query against the named dataset.
@@ -552,7 +538,7 @@ mod tests {
         let path = dir.join("fig2.bestk");
         let mut ds = Dataset::from_graph(generators::paper_figure2());
         ds.ensure_built(&policy());
-        snapshot::save_path(&ds, &path).unwrap();
+        crate::snapv2::save_path(&ds, &path).unwrap();
 
         let mut eng = Engine::new(None);
         eng.load_snapshot("fig2", path.to_str().unwrap()).unwrap();
@@ -658,7 +644,7 @@ mod tests {
         bestk_graph::io::write_edge_list_path(&g, &source).unwrap();
         let mut ds = Dataset::from_graph(g);
         ds.ensure_built(&policy());
-        snapshot::save_path(&ds, &snap).unwrap();
+        crate::snapv2::save_path(&ds, &snap).unwrap();
         // Corrupt the snapshot's payload on disk.
         let mut bytes = std::fs::read(&snap).unwrap();
         let last = bytes.len() - 1;
@@ -703,7 +689,7 @@ mod tests {
         assert_eq!(a.to_line(), "bestkset\tad\tk=2\tscore=3.1666666666666665");
 
         // An intact snapshot through the same entry point reports Loaded.
-        snapshot::save_path(&ds, &snap).unwrap();
+        crate::snapv2::save_path(&ds, &snap).unwrap();
         let outcome = eng
             .load_snapshot_with_fallback(
                 "fig2b",

@@ -3,11 +3,13 @@
 //! This crate turns the paper's one-shot pipeline (read graph → peel →
 //! order → profile → answer) into a serving system:
 //!
-//! - [`snapshot`] — a versioned, checksummed on-disk `.bestk` format
-//!   persisting the CSR graph plus every derived index (coreness, Alg. 1
-//!   ordering and position tags, the Alg. 4 core forest, and the per-k
-//!   primary-value profiles), so best-k queries on a warm dataset skip the
-//!   `O(m^1.5)` preprocessing entirely.
+//! - [`snapv2`] — the versioned, checksummed on-disk `.bestk` format
+//!   persisting the CSR graph, the coreness array, and the per-k and
+//!   per-core primary-value profiles; a snapshot opens zero-copy over a
+//!   memory mapping after every byte is checked, so best-k queries on a
+//!   warm dataset skip the `O(m^1.5)` preprocessing entirely. [`snapshot`]
+//!   holds the file I/O around it: retries, failpoints, and the
+//!   quarantine-and-rebuild load ladder.
 //! - [`Engine`] — a registry of named datasets under a configurable memory
 //!   budget with LRU artifact eviction, lazy first-touch builds, and
 //!   build/cache-hit/eviction counters.
@@ -25,7 +27,7 @@
 //! - [`mutate`] — edge mutations under a stage → commit → compact
 //!   protocol: ops are validated against a `bestk-delta` overlay,
 //!   write-ahead-logged beside the snapshot, folded into an incrementally
-//!   maintained best-k index at commit, and compacted back into a v2
+//!   maintained best-k index at commit, and compacted back into a
 //!   snapshot once enough commits accumulate.
 //!
 //! Query answers are rendered to stable tab-separated lines and batches
@@ -62,13 +64,7 @@ pub use record::{
     replay_path as replay_recording_path, Mismatch, ReplayReport, ServeRecorder, RECORD_MAGIC,
 };
 pub use registry::SharedEngine;
-pub use serve::{
-    handle_request, serve_lines, serve_lines_recorded, serve_lines_with, serve_on_listener,
-    serve_on_listener_recorded, serve_tcp, Control, ServeLimits,
-};
-pub use snapshot::{
-    load_path as load_snapshot_path, load_path_with_retry, save_path as save_snapshot_path,
-    save_path_with_retry, RetryPolicy,
-};
-pub use snapv2::{open as open_snapshot_v2, save_path as save_snapshot_v2_path, MappedIndex};
+pub use serve::{handle_request, serve_lines, serve_on_listener, serve_tcp, Control, ServeLimits};
+pub use snapshot::RetryPolicy;
+pub use snapv2::MappedIndex;
 pub use store::GraphStore;

@@ -1,6 +1,6 @@
 //! Read-only memory mapping for zero-copy snapshot loads.
 //!
-//! [`Mmap`] maps a file into the address space so the v2 snapshot opener
+//! [`Mmap`] maps a file into the address space so the snapshot opener
 //! can borrow graph and index sections straight out of the page cache —
 //! no allocation, no copy, and no full-file read before the first query
 //! touches a page. On non-unix targets (or when the raw `mmap` call

@@ -149,7 +149,7 @@ fn stage_op(dataset: &Dataset, delta: &mut DeltaSlot, op: EdgeOp) -> Result<usiz
 }
 
 /// Folds the pending ops into the maintained index, materializes the
-/// mutated graph, and (past the threshold) compacts the log into a v2
+/// mutated graph, and (past the threshold) compacts the log into a
 /// snapshot. Runs with no registry guard live.
 fn commit_ops(
     dataset: &Dataset,
@@ -475,7 +475,7 @@ mod tests {
         }
         let mut ds = Dataset::from_graph(generators::paper_figure2());
         ds.ensure_built(&policy());
-        snapshot::save_path(&ds, &snap).unwrap();
+        crate::snapv2::save_path(&ds, &snap).unwrap();
 
         let line;
         {
@@ -515,14 +515,14 @@ mod tests {
     }
 
     #[test]
-    fn commit_past_the_threshold_compacts_into_a_v2_snapshot() {
+    fn commit_past_the_threshold_compacts_into_a_snapshot() {
         let dir = temp_dir("compact");
         let snap = dir.join("g.bestk");
         let wal = dir.join("g.bestk.wal");
         let _ = std::fs::remove_file(&wal);
         let mut ds = Dataset::from_graph(generators::paper_figure2());
         ds.ensure_built(&policy());
-        snapshot::save_path(&ds, &snap).unwrap();
+        crate::snapv2::save_path(&ds, &snap).unwrap();
 
         let eng = SharedEngine::with_budget(None);
         eng.load_snapshot_with_fallback(
@@ -548,7 +548,7 @@ mod tests {
             std::fs::metadata(&wal).unwrap().len(),
             bestk_delta::WAL_MAGIC.len() as u64
         );
-        // ...and the snapshot at the original path is now v2 and carries
+        // ...and the snapshot at the original path was rewritten and carries
         // the mutation on its own.
         let eng2 = SharedEngine::with_budget(None);
         eng2.load_snapshot_with_fallback(
@@ -579,7 +579,7 @@ mod tests {
         }
         let mut ds = Dataset::from_graph(generators::paper_figure2());
         ds.ensure_built(&policy());
-        snapshot::save_path(&ds, &snap).unwrap();
+        crate::snapv2::save_path(&ds, &snap).unwrap();
         std::fs::write(&wal, b"not a delta log at all").unwrap();
 
         let eng = SharedEngine::with_budget(None);

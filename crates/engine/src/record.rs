@@ -1,7 +1,7 @@
 //! Deterministic serve record/replay (`.bestkrec`, magic `BESTKREC1`).
 //!
 //! A [`ServeRecorder`] rides inside the serving loop
-//! ([`crate::serve::serve_lines_recorded`]) and logs everything the loop's
+//! ([`crate::serve::serve_lines`]) and logs everything the loop's
 //! behaviour depends on: the session limits, the installed `BESTK_FAULTS`
 //! spec, every request line *as the engine saw it* (post-mangle), every
 //! reply byte, the two clock readings around each admitted request, and
@@ -474,7 +474,7 @@ pub fn replay_path<P: AsRef<Path>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::{serve_lines_recorded, ServeLimits};
+    use crate::serve::{serve_lines, ServeLimits};
     use bestk_graph::generators;
 
     fn policy() -> ExecPolicy {
@@ -491,7 +491,15 @@ mod tests {
         let eng = fig2_engine();
         let mut recorder = ServeRecorder::new(limits, spec);
         let mut out = Vec::new();
-        serve_lines_recorded(&eng, &policy(), input, &mut out, limits, &mut recorder).unwrap();
+        serve_lines(
+            &eng,
+            &policy(),
+            input,
+            &mut out,
+            limits,
+            Some(&mut recorder),
+        )
+        .unwrap();
         recorder.finish()
     }
 

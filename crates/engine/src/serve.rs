@@ -367,16 +367,6 @@ fn read_capped_line<R: BufRead>(
     Ok(Some(Ok(String::from_utf8_lossy(&line).into_owned())))
 }
 
-/// [`serve_lines_with`] under [`ServeLimits::default`].
-pub fn serve_lines<R: BufRead, W: Write>(
-    engine: &SharedEngine,
-    policy: &ExecPolicy,
-    reader: R,
-    writer: W,
-) -> Result<Control, EngineError> {
-    serve_lines_with(engine, policy, reader, writer, &ServeLimits::default())
-}
-
 /// Serves requests from any line source to any sink (the stdio transport,
 /// and the per-connection body of the TCP transport). Returns `Control::Quit`
 /// if the stream asked to shut the whole server down, `Control::Continue`
@@ -384,33 +374,13 @@ pub fn serve_lines<R: BufRead, W: Write>(
 ///
 /// Every reply is flushed before the next request is read, so on `Quit`
 /// the final `ok bye` has already been drained to the client.
-pub fn serve_lines_with<R: BufRead, W: Write>(
-    engine: &SharedEngine,
-    policy: &ExecPolicy,
-    reader: R,
-    writer: W,
-    limits: &ServeLimits,
-) -> Result<Control, EngineError> {
-    serve_lines_inner(engine, policy, reader, writer, limits, None)
-}
-
-/// [`serve_lines_with`] with a [`ServeRecorder`] riding along: every
-/// request the engine sees (post-mangle), every reply, the clock readings
-/// around each admitted request, and every oversized-line rejection are
-/// logged into the recorder, so the session can later be re-driven and
-/// diffed byte-for-byte by [`crate::record::replay_recording`].
-pub fn serve_lines_recorded<R: BufRead, W: Write>(
-    engine: &SharedEngine,
-    policy: &ExecPolicy,
-    reader: R,
-    writer: W,
-    limits: &ServeLimits,
-    recorder: &mut ServeRecorder,
-) -> Result<Control, EngineError> {
-    serve_lines_inner(engine, policy, reader, writer, limits, Some(recorder))
-}
-
-fn serve_lines_inner<R: BufRead, W: Write>(
+///
+/// With a [`ServeRecorder`] riding along, every request the engine sees
+/// (post-mangle), every reply, the clock readings around each admitted
+/// request, and every oversized-line rejection are logged into it, so the
+/// session can later be re-driven and diffed byte-for-byte by
+/// [`crate::record::replay_recording`].
+pub fn serve_lines<R: BufRead, W: Write>(
     engine: &SharedEngine,
     policy: &ExecPolicy,
     mut reader: R,
@@ -521,32 +491,6 @@ pub fn serve_on_listener(
     timeout: Option<Duration>,
     limits: &ServeLimits,
 ) -> Result<(), EngineError> {
-    serve_on_listener_inner(engine, policy, listener, timeout, limits, None)
-}
-
-/// [`serve_on_listener`] with a [`ServeRecorder`] riding along: the
-/// sequential connections' traffic is logged into one recording, in
-/// arrival order, exactly as [`serve_lines_recorded`] does for a single
-/// stream.
-pub fn serve_on_listener_recorded(
-    engine: &SharedEngine,
-    policy: &ExecPolicy,
-    listener: &TcpListener,
-    timeout: Option<Duration>,
-    limits: &ServeLimits,
-    recorder: &mut ServeRecorder,
-) -> Result<(), EngineError> {
-    serve_on_listener_inner(engine, policy, listener, timeout, limits, Some(recorder))
-}
-
-fn serve_on_listener_inner(
-    engine: &SharedEngine,
-    policy: &ExecPolicy,
-    listener: &TcpListener,
-    timeout: Option<Duration>,
-    limits: &ServeLimits,
-    mut recorder: Option<&mut ServeRecorder>,
-) -> Result<(), EngineError> {
     for stream in listener.incoming() {
         let mut stream = match stream {
             Ok(s) => s,
@@ -577,17 +521,10 @@ fn serve_on_listener_inner(
         // The `serve.read` failpoint also injects socket-level faults
         // (errors, short reads) under the buffered reader.
         let reader = BufReader::new(bestk_faults::FaultyRead::new(sites::SERVE_READ, cloned));
-        let control = serve_lines_inner(
-            engine,
-            policy,
-            reader,
-            &stream,
-            limits,
-            recorder.as_deref_mut(),
-        )?;
+        let control = serve_lines(engine, policy, reader, &stream, limits, None)?;
         if control == Control::Quit {
             // Drain-on-shutdown: every reply (including `ok bye`) was
-            // flushed by serve_lines_with; close both directions so the
+            // flushed by serve_lines; close both directions so the
             // client observes EOF rather than a reset.
             let _ = stream.shutdown(std::net::Shutdown::Both);
             return Ok(());
@@ -758,7 +695,15 @@ mod tests {
         let eng = engine_with_fig2();
         let input = b"query fig2 coreof 5\n\nquery fig2 bestkset zz\nquit\nquery fig2 stats\n";
         let mut out = Vec::new();
-        let control = serve_lines(&eng, &ExecPolicy::Sequential, &input[..], &mut out).unwrap();
+        let control = serve_lines(
+            &eng,
+            &ExecPolicy::Sequential,
+            &input[..],
+            &mut out,
+            &ServeLimits::default(),
+            None,
+        )
+        .unwrap();
         assert_eq!(control, Control::Quit);
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -778,6 +723,8 @@ mod tests {
             &ExecPolicy::Sequential,
             &b"query fig2 stats\n"[..],
             &mut out,
+            &ServeLimits::default(),
+            None,
         )
         .unwrap();
         assert_eq!(control, Control::Continue);
@@ -795,8 +742,15 @@ mod tests {
         input.extend_from_slice(&vec![b'x'; 500]);
         input.extend_from_slice(b"\nquery fig2 coreof 5\n");
         let mut out = Vec::new();
-        let control =
-            serve_lines_with(&eng, &ExecPolicy::Sequential, &input[..], &mut out, &limits).unwrap();
+        let control = serve_lines(
+            &eng,
+            &ExecPolicy::Sequential,
+            &input[..],
+            &mut out,
+            &limits,
+            None,
+        )
+        .unwrap();
         assert_eq!(control, Control::Continue);
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -815,12 +769,13 @@ mod tests {
             max_inflight: 0,
         };
         let mut out = Vec::new();
-        serve_lines_with(
+        serve_lines(
             &eng,
             &ExecPolicy::Sequential,
             &b"query fig2 stats\nquery fig2 coreof 5\n"[..],
             &mut out,
             &limits,
+            None,
         )
         .unwrap();
         let text = String::from_utf8(out).unwrap();
@@ -845,6 +800,8 @@ mod tests {
                 &ExecPolicy::Sequential,
                 &b"query fig2 stats\nquery fig2 stats\n"[..],
                 &mut out,
+                &ServeLimits::default(),
+                None,
             )
             .unwrap();
             let text = String::from_utf8(out).unwrap();
@@ -870,7 +827,15 @@ mod tests {
             bestk_faults::with_plan(&plan, || {
                 let mut out = Vec::new();
                 let input = b"query fig2 stats\nquery fig2 coreof 5\nquery fig2 bestkset ad\n";
-                serve_lines(&eng, &ExecPolicy::Sequential, &input[..], &mut out).unwrap();
+                serve_lines(
+                    &eng,
+                    &ExecPolicy::Sequential,
+                    &input[..],
+                    &mut out,
+                    &ServeLimits::default(),
+                    None,
+                )
+                .unwrap();
                 let text = String::from_utf8(out).unwrap();
                 for line in text.lines() {
                     assert!(
@@ -914,7 +879,7 @@ mod tests {
         std::fs::remove_file(&quarantine).ok();
         let g = generators::paper_figure2();
         bestk_graph::io::write_edge_list_path(&g, &source).unwrap();
-        std::fs::write(&snap, b"BESTKSS1 but then garbage").unwrap();
+        std::fs::write(&snap, b"BESTKSS2 but then garbage").unwrap();
 
         let eng = SharedEngine::with_budget(None);
         let line = format!(

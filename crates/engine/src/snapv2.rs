@@ -1,13 +1,10 @@
-//! Version-2 `.bestk` snapshots: zero-copy, mmap-friendly layout.
+//! The `.bestk` snapshot format (`BESTKSS2`): zero-copy, mmap-friendly.
 //!
-//! Where version 1 deserializes every section into heap structures at
-//! load time, a v2 snapshot is *opened*: the file is memory-mapped, the
-//! 64-byte header and section table are validated, the two (tiny) profile
-//! sections are decoded, and the graph plus coreness sections are served
-//! straight out of the mapping — no allocation proportional to the graph,
-//! and **no read of the graph section at all** until a query first touches
-//! it. Cold starts on large datasets go from `O(n + m)` deserialization
-//! to `O(kmax + #cores)`.
+//! A snapshot is *opened*, not deserialized: the file is memory-mapped,
+//! every byte of it is checked, the two (tiny) profile sections are
+//! decoded, and the graph plus coreness sections are served straight out
+//! of the mapping — no allocation proportional to the graph, and no second
+//! copy of it.
 //!
 //! On-disk layout (all integers little-endian):
 //!
@@ -23,8 +20,8 @@
 //! 40      8     fnv1a of the section table bytes
 //! 48      8     fnv1a of header bytes 0..48
 //! 56      8     reserved (zero)
-//! 64      table: sections × { id u32, reserved u32, offset u64, len u64, fnv1a u64 }
-//! ...     section bodies, ascending offsets, each 8-byte aligned
+//! 64      table: sections × { id u32, reserved u32 (zero), offset u64, len u64, fnv1a u64 }
+//! ...     section bodies, ascending offsets, each 8-byte aligned, zero padding between
 //! ```
 //!
 //! Section ids and bodies:
@@ -32,46 +29,42 @@
 //! | id | name           | body |
 //! |----|----------------|------|
 //! | 1  | `graph`        | the [`ByteCsr`] layout (`n u64, nnz u64, offsets (n+1)×u64, neighbors nnz×u32`) |
-//! | 5  | `set-profile`  | v1's set-profile body |
-//! | 6  | `core-profile` | v1's core-profile body |
+//! | 5  | `set-profile`  | `kmax u32, tri u8, n u64, m u64, count u64, count × 5×u64 primaries` |
+//! | 6  | `core-profile` | `tri u8, n u64, m u64, count u64, coreness count×u32, count × 5×u64 primaries` |
 //! | 7  | `coreness`     | `n × u32` |
 //!
-//! ## Deferred graph validation
+//! ## What an open checks
 //!
-//! [`open`] verifies the header, table, profile, and coreness checksums —
-//! all `O(kmax + #cores + n/page)` work — but **not** the graph section's
-//! checksum: hashing it would fault in the whole file and defeat the
-//! zero-copy open. The graph's `O(1)` framing header *is* cross-checked
-//! against the snapshot header, and every [`ByteCsr`] accessor is
-//! bounds-clamped, so corrupt adjacency bytes yield wrong answers, never
-//! a crash; call [`MappedIndex::validate_graph`] to pay for the full
-//! check when integrity matters more than latency.
+//! [`open_mmap`] rejects a file unless every byte is accounted for: the
+//! header and table checksums, zero reserved bytes and padding, the
+//! checksum of every section (the graph's included), the full simple-graph
+//! invariants of the mapped adjacency (sorted, symmetric, in range, no
+//! self loops — [`ByteCsr::new`]), and the coreness array against the set
+//! profile's per-k vertex counts. A corrupt or hand-edited snapshot is a
+//! typed [`EngineError`] at open, never a wrong answer or a panic later.
+//! The price is one `O(n + m)` pass over the mapped bytes.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use bestk_core::{CoreSetProfile, GraphContext, SingleCoreProfile};
-use bestk_faults::sites;
+use bestk_core::{CoreSetProfile, GraphContext, PrimaryValues, SingleCoreProfile};
 use bestk_graph::{ByteCsr, GraphView, VertexId};
 
 use crate::dataset::Dataset;
 use crate::error::EngineError;
 use crate::mmap::Mmap;
-use crate::snapshot::{
-    bad, encode_core_profile, encode_set_profile, fnv1a, put_u32, put_u64, with_retries,
-    write_snapshot_bytes, RetryPolicy, SectionReader,
-};
+use crate::snapshot::{fnv1a, with_retries, write_snapshot_bytes, RetryPolicy};
 use crate::store::{GraphStore, SnapshotSlice};
 
-/// The v2 magic bytes.
+/// The magic bytes: the `BESTKSS` family prefix plus the version digit.
 pub const MAGIC: &[u8; 8] = b"BESTKSS2";
-/// The v2 format version number.
+/// The format version number.
 pub const VERSION: u32 = 2;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 64;
 /// Bytes of the header covered by the header checksum.
 const HEADER_CHECKED: usize = 48;
-/// Section table entry size (identical to v1).
+/// Section table entry size.
 const ENTRY_LEN: usize = 32;
 
 const SEC_GRAPH: u32 = 1;
@@ -94,13 +87,61 @@ fn align8(x: usize) -> usize {
     x.div_ceil(8) * 8
 }
 
+fn bad(section: &str, msg: String) -> EngineError {
+    EngineError::BadSnapshot(format!("{section}: {msg}"))
+}
+
 // ---------------------------------------------------------------- writing
 
-/// Serializes a built dataset into the v2 byte layout.
+fn put_u32(buf: &mut Vec<u8>, x: u32) {
+    buf.extend_from_slice(&x.to_le_bytes());
+}
+
+fn put_u64(buf: &mut Vec<u8>, x: u64) {
+    buf.extend_from_slice(&x.to_le_bytes());
+}
+
+fn put_primaries(buf: &mut Vec<u8>, pv: &PrimaryValues) {
+    put_u64(buf, pv.num_vertices);
+    put_u64(buf, pv.internal_edges);
+    put_u64(buf, pv.boundary_edges);
+    put_u64(buf, pv.triangles);
+    put_u64(buf, pv.triplets);
+}
+
+fn encode_set_profile(p: &CoreSetProfile) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_u32(&mut buf, p.kmax);
+    buf.push(u8::from(p.has_triangles));
+    put_u64(&mut buf, p.context.total_vertices);
+    put_u64(&mut buf, p.context.total_edges);
+    put_u64(&mut buf, p.primaries.len() as u64);
+    for pv in &p.primaries {
+        put_primaries(&mut buf, pv);
+    }
+    buf
+}
+
+fn encode_core_profile(p: &SingleCoreProfile) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.push(u8::from(p.has_triangles));
+    put_u64(&mut buf, p.context.total_vertices);
+    put_u64(&mut buf, p.context.total_edges);
+    put_u64(&mut buf, p.primaries.len() as u64);
+    for &c in &p.coreness {
+        put_u32(&mut buf, c);
+    }
+    for pv in &p.primaries {
+        put_primaries(&mut buf, pv);
+    }
+    buf
+}
+
+/// Serializes a built dataset into the snapshot byte layout.
 pub fn to_bytes(dataset: &Dataset) -> Result<Vec<u8>, EngineError> {
     let art = dataset.artifacts().ok_or_else(|| {
         EngineError::BadSnapshot(
-            "cannot save a v2 snapshot from a dataset whose artifacts are not built".into(),
+            "cannot save a snapshot from a dataset whose artifacts are not built".into(),
         )
     })?;
     let g = dataset.graph();
@@ -156,15 +197,16 @@ pub fn to_bytes(dataset: &Dataset) -> Result<Vec<u8>, EngineError> {
     Ok(out)
 }
 
-/// Writes a v2 snapshot to `path` (one attempt).
+/// Writes a snapshot to `path` (one attempt).
 pub fn save_path<P: AsRef<Path>>(dataset: &Dataset, path: P) -> Result<(), EngineError> {
     save_path_with_retry(dataset, path, &RetryPolicy::none())
 }
 
-/// Writes a v2 snapshot to `path`, retrying transient I/O failures under
-/// `policy`. Goes through the same `snapshot.write` failpoint-instrumented
-/// single-attempt writer as v1, so injected mid-write crashes and
-/// truncations exercise this path too.
+/// Writes a snapshot to `path`, retrying transient I/O failures under
+/// `policy`. The snapshot is serialized once up front; each attempt goes
+/// through the `snapshot.write` failpoint-instrumented writer and rewrites
+/// the whole file, so a partially-persisted earlier attempt is healed
+/// rather than appended to.
 pub fn save_path_with_retry<P: AsRef<Path>>(
     dataset: &Dataset,
     path: P,
@@ -176,7 +218,7 @@ pub fn save_path_with_retry<P: AsRef<Path>>(
 
 // ---------------------------------------------------------------- opening
 
-/// The index portion of an opened v2 snapshot: decoded profiles plus
+/// The index portion of an opened snapshot: decoded profiles plus
 /// zero-copy access to the mapped coreness array.
 #[derive(Debug, Clone)]
 pub struct MappedIndex {
@@ -185,9 +227,6 @@ pub struct MappedIndex {
     n: usize,
     kmax: u32,
     forest_nodes: u32,
-    graph_off: usize,
-    graph_len: usize,
-    graph_checksum: u64,
     set_profile: CoreSetProfile,
     core_profile: SingleCoreProfile,
 }
@@ -220,22 +259,7 @@ impl MappedIndex {
         if v >= self.n {
             return None;
         }
-        let at = self.coreness_off + 4 * v;
-        let b = &self.map.as_slice()[at..at + 4];
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Pays the deferred cost: hashes the mapped graph section against its
-    /// recorded checksum and structurally validates the CSR layout. This
-    /// faults the whole graph section in — exactly the work [`open`]
-    /// skips.
-    pub fn validate_graph(&self) -> Result<(), EngineError> {
-        let body = &self.map.as_slice()[self.graph_off..self.graph_off + self.graph_len];
-        if fnv1a(body) != self.graph_checksum {
-            return Err(EngineError::ChecksumMismatch { section: "graph" });
-        }
-        let view = ByteCsr::new(body).map_err(EngineError::Graph)?;
-        view.validate_structure().map_err(EngineError::Graph)
+        Some(read_u32(self.map.as_slice(), self.coreness_off + 4 * v))
     }
 
     /// Approximate heap bytes held by the decoded (non-mapped) parts.
@@ -244,36 +268,26 @@ impl MappedIndex {
     }
 }
 
-/// Opens a v2 snapshot: map, validate the header/table/small-section
-/// checksums, borrow the graph — and return a dataset that answers every
-/// query without deserializing the graph.
-pub fn open<P: AsRef<Path>>(path: P) -> Result<Dataset, EngineError> {
-    open_with_retry(path, &RetryPolicy::none())
+/// Little-endian `u32` at `at`; callers bounds-check the section first.
+fn read_u32(buf: &[u8], at: usize) -> u32 {
+    let b = &buf[at..at + 4];
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
-/// [`open`] with transient I/O retries. The `snapshot.read` failpoint's
-/// injected I/O errors fire before the mapping is attempted, mirroring
-/// the v1 read path; injected buffer corruption does not apply (the bytes
-/// are the kernel's, not a heap copy) — corruption tests damage the file
-/// itself instead.
-pub fn open_with_retry<P: AsRef<Path>>(
-    path: P,
-    policy: &RetryPolicy,
-) -> Result<Dataset, EngineError> {
-    let map = with_retries(policy, || {
-        if let Some(e) = bestk_faults::io_error(sites::SNAPSHOT_READ) {
-            return Err(e);
-        }
-        Mmap::open(path.as_ref())
-    })?;
-    open_mmap(Arc::new(map))
-}
-
-/// Opens an already-established mapping (the testable core of [`open`]).
+/// Opens an established mapping: checks every byte (see the module docs)
+/// and returns a dataset that answers every query from the mapping.
 pub fn open_mmap(map: Arc<Mmap>) -> Result<Dataset, EngineError> {
     let buf = map.as_slice();
     if buf.len() < 8 {
         return Err(EngineError::Truncated { section: "magic" });
+    }
+    // Another version digit behind the family prefix (the retired version
+    // 1, say) is a version skew, not foreign bytes.
+    if buf[..7] == MAGIC[..7] && buf[7] != MAGIC[7] && buf[7].is_ascii_digit() {
+        return Err(EngineError::VersionSkew {
+            found: u32::from(buf[7] - b'0'),
+            supported: VERSION,
+        });
     }
     if &buf[..8] != MAGIC {
         return Err(EngineError::BadMagic);
@@ -299,6 +313,9 @@ pub fn open_mmap(map: Arc<Mmap>) -> Result<Dataset, EngineError> {
     if fnv1a(&buf[..HEADER_CHECKED]) != header_checksum {
         return Err(EngineError::ChecksumMismatch { section: "header" });
     }
+    if h.u64()? != 0 {
+        return Err(bad("header", "reserved bytes 56..64 are not zero".into()));
+    }
     let table_end = section_count
         .checked_mul(ENTRY_LEN)
         .and_then(|t| t.checked_add(HEADER_LEN))
@@ -317,23 +334,27 @@ pub fn open_mmap(map: Arc<Mmap>) -> Result<Dataset, EngineError> {
         });
     }
 
-    // Walk the table: known non-duplicate ids, aligned ascending offsets,
-    // in-bounds bodies.
-    let mut found: [Option<(usize, usize, u64)>; 4] = [None; 4];
-    let mut cursor = align8(table_end);
-    let mut raw_end = cursor;
+    // Walk the table: known non-duplicate ids, zero reserved fields,
+    // aligned ascending offsets, zero padding, in-bounds bodies with
+    // intact checksums.
+    let mut found: [Option<(usize, &[u8])>; 4] = [None; 4];
+    let mut raw_end = table_end;
     for s in 0..section_count {
         let mut r = SectionReader::new(&table[ENTRY_LEN * s..ENTRY_LEN * (s + 1)], "section table");
         let id = r.u32()?;
-        let _reserved = r.u32()?;
+        let reserved = r.u32()?;
         let offset = r.count()?;
         let len = r.count()?;
         let checksum = r.u64()?;
         let name = section_name(id)
-            .ok_or_else(|| EngineError::BadSnapshot(format!("unknown v2 section id {id}")))?;
-        if offset != cursor {
+            .ok_or_else(|| EngineError::BadSnapshot(format!("unknown section id {id}")))?;
+        if reserved != 0 {
+            return Err(bad(name, "reserved table field is not zero".into()));
+        }
+        let expected = align8(raw_end);
+        if offset != expected {
             return Err(EngineError::BadSnapshot(format!(
-                "section {name} starts at {offset}, expected {cursor}"
+                "section {name} starts at {offset}, expected {expected}"
             )));
         }
         let end = offset
@@ -341,6 +362,13 @@ pub fn open_mmap(map: Arc<Mmap>) -> Result<Dataset, EngineError> {
             .ok_or(EngineError::Truncated { section: name })?;
         if end > buf.len() {
             return Err(EngineError::Truncated { section: name });
+        }
+        if buf[raw_end..offset].iter().any(|&b| b != 0) {
+            return Err(bad(name, "padding before the section is not zero".into()));
+        }
+        let body = &buf[offset..end];
+        if fnv1a(body) != checksum {
+            return Err(EngineError::ChecksumMismatch { section: name });
         }
         let slot = match id {
             SEC_GRAPH => 0,
@@ -353,51 +381,29 @@ pub fn open_mmap(map: Arc<Mmap>) -> Result<Dataset, EngineError> {
                 "duplicate {name} section"
             )));
         }
-        found[slot] = Some((offset, len, checksum));
+        found[slot] = Some((offset, body));
         raw_end = end;
-        cursor = align8(end);
     }
     if buf.len() != raw_end {
         return Err(EngineError::TrailingBytes);
     }
     let want =
         |slot: usize, name: &'static str| found[slot].ok_or(EngineError::MissingSection(name));
-    let (graph_off, graph_len, graph_checksum) = want(0, "graph")?;
-    let (sp_off, sp_len, sp_checksum) = want(1, "set-profile")?;
-    let (cp_off, cp_len, cp_checksum) = want(2, "core-profile")?;
-    let (cn_off, cn_len, cn_checksum) = want(3, "coreness")?;
-
-    // Small sections: verify checksums and decode. The graph section's
-    // checksum is deliberately deferred (see the module docs).
-    let sp_body = &buf[sp_off..sp_off + sp_len];
-    if fnv1a(sp_body) != sp_checksum {
-        return Err(EngineError::ChecksumMismatch {
-            section: "set-profile",
-        });
-    }
-    let cp_body = &buf[cp_off..cp_off + cp_len];
-    if fnv1a(cp_body) != cp_checksum {
-        return Err(EngineError::ChecksumMismatch {
-            section: "core-profile",
-        });
-    }
-    let cn_body = &buf[cn_off..cn_off + cn_len];
-    if fnv1a(cn_body) != cn_checksum {
-        return Err(EngineError::ChecksumMismatch {
-            section: "coreness",
-        });
-    }
-    if cn_len != 4 * n {
+    let (graph_off, graph_body) = want(0, "graph")?;
+    let set_profile = decode_set_profile(want(1, "set-profile")?.1, n, nnz, kmax)?;
+    let core_profile = decode_core_profile(want(2, "core-profile")?.1, n, nnz, forest_nodes)?;
+    let (coreness_off, coreness) = want(3, "coreness")?;
+    if coreness.len() != 4 * n {
         return Err(bad(
             "coreness",
-            format!("{cn_len} bytes for {n} vertices (want {})", 4 * n),
+            format!("{} bytes for {n} vertices (want {})", coreness.len(), 4 * n),
         ));
     }
-    let set_profile = decode_set_profile(sp_body, n, nnz, kmax)?;
-    let core_profile = decode_core_profile(cp_body, n, nnz, forest_nodes)?;
+    check_coreness(coreness, &set_profile)?;
 
-    // Graph: O(1) framing only, cross-checked against the header.
-    let slice = SnapshotSlice::new(Arc::clone(&map), graph_off, graph_len)
+    // Graph: the full CSR invariants over the mapped bytes, cross-checked
+    // against the header.
+    let slice = SnapshotSlice::new(Arc::clone(&map), graph_off, graph_body.len())
         .ok_or(EngineError::Truncated { section: "graph" })?;
     let view = ByteCsr::new(slice).map_err(EngineError::Graph)?;
     if view.num_vertices() != n || 2 * view.num_edges() != nnz {
@@ -413,20 +419,140 @@ pub fn open_mmap(map: Arc<Mmap>) -> Result<Dataset, EngineError> {
 
     let index = MappedIndex {
         map,
-        coreness_off: cn_off,
+        coreness_off,
         n,
         kmax,
         forest_nodes,
-        graph_off,
-        graph_len,
-        graph_checksum,
         set_profile,
         core_profile,
     };
     Ok(Dataset::from_mapped(GraphStore::Mapped(view), index))
 }
 
+/// The coreness section must agree with the set profile: every value at
+/// most `kmax`, and exactly `primaries[k].num_vertices` vertices of
+/// coreness `>= k` for every `k` — so no single value can change
+/// unnoticed. `O(n + kmax)`.
+fn check_coreness(body: &[u8], profile: &CoreSetProfile) -> Result<(), EngineError> {
+    let kmax = profile.kmax as usize;
+    let mut at_least = vec![0u64; kmax + 2];
+    for b in body.chunks_exact(4) {
+        let c = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
+        if c > kmax {
+            return Err(bad("coreness", format!("value {c} exceeds kmax {kmax}")));
+        }
+        at_least[c] += 1;
+    }
+    for k in (0..=kmax).rev() {
+        at_least[k] += at_least[k + 1];
+        if at_least[k] != profile.primaries[k].num_vertices {
+            return Err(bad(
+                "coreness",
+                format!(
+                    "{} vertices have coreness >= {k}, the set profile says {}",
+                    at_least[k], profile.primaries[k].num_vertices
+                ),
+            ));
+        }
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------- decode
+
+/// A bounds-checked cursor over one section's bytes: every overrun is a
+/// [`EngineError::Truncated`] naming the section, and `finish` rejects
+/// bytes the layout did not account for.
+struct SectionReader<'a> {
+    buf: &'a [u8],
+    at: usize,
+    section: &'static str,
+}
+
+impl<'a> SectionReader<'a> {
+    fn new(buf: &'a [u8], section: &'static str) -> Self {
+        SectionReader {
+            buf,
+            at: 0,
+            section,
+        }
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
+    fn take(&mut self, len: usize) -> Result<&'a [u8], EngineError> {
+        if len > self.remaining() {
+            return Err(EngineError::Truncated {
+                section: self.section,
+            });
+        }
+        let slice = &self.buf[self.at..self.at + len];
+        self.at += len;
+        Ok(slice)
+    }
+
+    fn u8(&mut self) -> Result<u8, EngineError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, EngineError> {
+        Ok(read_u32(self.take(4)?, 0))
+    }
+
+    fn u64(&mut self) -> Result<u64, EngineError> {
+        let b = self.take(8)?;
+        Ok(u64::from_le_bytes([
+            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+        ]))
+    }
+
+    /// A u64 count/offset that must fit `usize` (32-bit safety) and is
+    /// implicitly bounded by the section length on any later read.
+    fn count(&mut self) -> Result<usize, EngineError> {
+        let raw = self.u64()?;
+        usize::try_from(raw).map_err(|_| {
+            EngineError::BadSnapshot(format!(
+                "{}: count {raw} does not fit this platform's usize",
+                self.section
+            ))
+        })
+    }
+
+    fn u32_vec(&mut self, count: usize) -> Result<Vec<u32>, EngineError> {
+        let bytes = count.checked_mul(4).ok_or(EngineError::Truncated {
+            section: self.section,
+        })?;
+        let raw = self.take(bytes)?;
+        Ok(raw.chunks_exact(4).map(|b| read_u32(b, 0)).collect())
+    }
+
+    fn primaries(&mut self, count: usize) -> Result<Vec<PrimaryValues>, EngineError> {
+        let mut out = Vec::with_capacity(count.min(1 << 16));
+        for _ in 0..count {
+            out.push(PrimaryValues {
+                num_vertices: self.u64()?,
+                internal_edges: self.u64()?,
+                boundary_edges: self.u64()?,
+                triangles: self.u64()?,
+                triplets: self.u64()?,
+            });
+        }
+        Ok(out)
+    }
+
+    fn finish(self) -> Result<(), EngineError> {
+        if self.remaining() != 0 {
+            return Err(EngineError::BadSnapshot(format!(
+                "{}: {} trailing byte(s) inside the section",
+                self.section,
+                self.remaining()
+            )));
+        }
+        Ok(())
+    }
+}
 
 fn decode_context(
     r: &mut SectionReader<'_>,
@@ -460,7 +586,7 @@ fn decode_set_profile(
 ) -> Result<CoreSetProfile, EngineError> {
     let mut r = SectionReader::new(body, "set-profile");
     let kmax = r.u32()?;
-    let has_triangles = r.u8()? != 0;
+    let has_triangles = decode_flag(&mut r, "set-profile")?;
     let context = decode_context(&mut r, "set-profile", n, nnz)?;
     let count = r.count()?;
     let primaries = r.primaries(count)?;
@@ -492,7 +618,7 @@ fn decode_core_profile(
     forest_nodes: u32,
 ) -> Result<SingleCoreProfile, EngineError> {
     let mut r = SectionReader::new(body, "core-profile");
-    let has_triangles = r.u8()? != 0;
+    let has_triangles = decode_flag(&mut r, "core-profile")?;
     let context = decode_context(&mut r, "core-profile", n, nnz)?;
     let count = r.count()?;
     let coreness = r.u32_vec(count)?;
@@ -512,18 +638,38 @@ fn decode_core_profile(
     })
 }
 
+/// A boolean byte: exactly 0 or 1, so no bit of it is unchecked.
+fn decode_flag(r: &mut SectionReader<'_>, section: &'static str) -> Result<bool, EngineError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(bad(
+            section,
+            format!("flag byte {other} is neither 0 nor 1"),
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::{Answer, Query};
     use bestk_core::Metric;
     use bestk_exec::ExecPolicy;
-    use bestk_graph::generators;
+    use bestk_graph::{generators, CsrGraph};
 
-    fn built(g: bestk_graph::CsrGraph) -> Dataset {
+    fn built(g: CsrGraph) -> Dataset {
         let mut ds = Dataset::from_graph(g);
         ds.ensure_built(&ExecPolicy::Sequential);
         ds
+    }
+
+    fn open_bytes(bytes: Vec<u8>) -> Result<Dataset, EngineError> {
+        open_mmap(Arc::new(Mmap::from_vec(bytes)))
+    }
+
+    fn figure2_bytes() -> Vec<u8> {
+        to_bytes(&built(generators::paper_figure2())).unwrap()
     }
 
     fn all_queries() -> Vec<Query> {
@@ -550,24 +696,54 @@ mod tests {
             .collect()
     }
 
+    /// `(offset, len)` of table entry `slot`'s section body.
+    fn section(bytes: &[u8], slot: usize) -> (usize, usize) {
+        let entry = HEADER_LEN + ENTRY_LEN * slot;
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        (word(entry + 8), word(entry + 16))
+    }
+
+    /// Recomputes every section checksum, the table checksum, and the
+    /// header checksum, so a tampered body reaches the structural checks.
+    fn reseal(bytes: &mut [u8]) {
+        for slot in 0..4 {
+            let (off, len) = section(bytes, slot);
+            let sum = fnv1a(&bytes[off..off + len]);
+            let at = HEADER_LEN + ENTRY_LEN * slot + 24;
+            bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+        }
+        let table = fnv1a(&bytes[HEADER_LEN..HEADER_LEN + 4 * ENTRY_LEN]);
+        bytes[40..48].copy_from_slice(&table.to_le_bytes());
+        let header = fnv1a(&bytes[..HEADER_CHECKED]);
+        bytes[48..56].copy_from_slice(&header.to_le_bytes());
+    }
+
     #[test]
-    fn v2_round_trip_preserves_every_answer() {
+    fn round_trip_preserves_every_answer() {
         let ds = built(generators::paper_figure2());
-        let bytes = to_bytes(&ds).unwrap();
-        let mapped = open_mmap(Arc::new(Mmap::from_vec(bytes))).unwrap();
+        let mapped = open_bytes(to_bytes(&ds).unwrap()).unwrap();
         assert_eq!(mapped.graph().backend_name(), "mapped");
         assert!(mapped.is_built());
         assert_eq!(answers(&mapped), answers(&ds));
     }
 
     #[test]
-    fn v2_file_round_trip_via_real_mmap() {
+    fn round_trip_empty_and_tiny() {
+        for g in [CsrGraph::empty(0), CsrGraph::empty(5)] {
+            let original = built(g);
+            let loaded = open_bytes(to_bytes(&original).unwrap()).unwrap();
+            assert_eq!(loaded.graph(), original.graph());
+        }
+    }
+
+    #[test]
+    fn file_round_trip_via_real_mmap() {
         let dir = std::env::temp_dir().join("bestk-snapv2-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fig2.bestk2");
+        let path = dir.join("fig2.bestk");
         let ds = built(generators::paper_figure2());
         save_path(&ds, &path).unwrap();
-        let mapped = open(&path).unwrap();
+        let mapped = crate::snapshot::load_path(&path).unwrap();
         assert_eq!(answers(&mapped), answers(&ds));
         let a = mapped.answer(&Query::Stats).unwrap();
         assert_eq!(
@@ -584,19 +760,15 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_version_and_truncation() {
-        let ds = built(generators::paper_figure2());
-        let bytes = to_bytes(&ds).unwrap();
-        // Magic.
+        let bytes = figure2_bytes();
         let mut b = bytes.clone();
         b[0] ^= 0xff;
-        assert!(matches!(
-            open_mmap(Arc::new(Mmap::from_vec(b))).unwrap_err(),
-            EngineError::BadMagic
-        ));
+        assert!(matches!(open_bytes(b).unwrap_err(), EngineError::BadMagic));
         // Version (header checksum recomputed so the skew is what's seen).
         let mut b = bytes.clone();
         b[8..12].copy_from_slice(&9u32.to_le_bytes());
-        let e = open_mmap(Arc::new(Mmap::from_vec(b))).unwrap_err();
+        reseal(&mut b);
+        let e = open_bytes(b).unwrap_err();
         assert!(
             matches!(
                 e,
@@ -608,72 +780,124 @@ mod tests {
             "{e}"
         );
         // Truncations at a few boundaries.
-        for cut in [4, 32, 70, bytes.len() / 2] {
-            let e = open_mmap(Arc::new(Mmap::from_vec(bytes[..cut].to_vec()))).unwrap_err();
+        for cut in [0, 4, 32, 70, bytes.len() / 2, bytes.len() - 1] {
+            let e = open_bytes(bytes[..cut].to_vec()).unwrap_err();
             assert!(e.is_corruption(), "cut {cut}: {e}");
         }
     }
 
     #[test]
-    fn header_and_small_section_flips_are_rejected_or_benign() {
-        let ds = built(generators::paper_figure2());
-        let bytes = to_bytes(&ds).unwrap();
-        let reference = answers(&open_mmap(Arc::new(Mmap::from_vec(bytes.clone()))).unwrap());
-        // Flip a bit in every byte outside the (deferred) graph body: open
-        // must reject the flip, or — for inter-section alignment padding —
-        // accept it with bit-identical answers.
-        let graph_off = u64::from_le_bytes(bytes[72..80].try_into().unwrap()) as usize;
-        let graph_len = u64::from_le_bytes(bytes[80..88].try_into().unwrap()) as usize;
+    fn retired_v1_images_are_a_typed_version_skew() {
+        let mut b = figure2_bytes();
+        b[7] = b'1';
+        let e = open_bytes(b).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                EngineError::VersionSkew {
+                    found: 1,
+                    supported: 2
+                }
+            ),
+            "{e}"
+        );
+        assert!(e.is_corruption());
+    }
+
+    #[test]
+    fn rejects_trailing_garbage() {
+        let mut b = figure2_bytes();
+        b.push(0xAB);
+        assert!(matches!(
+            open_bytes(b).unwrap_err(),
+            EngineError::TrailingBytes
+        ));
+    }
+
+    #[test]
+    fn every_single_byte_flip_is_rejected() {
+        // No exemptions: the header's reserved bytes, the inter-section
+        // padding, and every byte of the graph body are checked at open.
+        let bytes = figure2_bytes();
+        assert_eq!(bytes.len(), 864);
         for at in 0..bytes.len() {
-            if at >= graph_off && at < graph_off + graph_len {
-                continue; // graph body: deferred, tested below
-            }
-            let mut b = bytes.clone();
-            b[at] ^= 0x40;
-            match open_mmap(Arc::new(Mmap::from_vec(b))) {
-                Err(_) => {}
-                Ok(ds) => assert_eq!(answers(&ds), reference, "flip at {at} changed answers"),
+            for mask in [0x01, 0x40, 0xff] {
+                let mut b = bytes.clone();
+                b[at] ^= mask;
+                match open_bytes(b) {
+                    Ok(_) => panic!("flip {mask:#04x} at byte {at} was accepted"),
+                    Err(e) => assert!(e.is_corruption(), "byte {at}: {e}"),
+                }
             }
         }
     }
 
     #[test]
-    fn graph_body_corruption_defers_to_validate_graph() {
-        let ds = built(generators::paper_figure2());
-        let bytes = to_bytes(&ds).unwrap();
-        let graph_off = u64::from_le_bytes(bytes[72..80].try_into().unwrap()) as usize;
-        let graph_len = u64::from_le_bytes(bytes[80..88].try_into().unwrap()) as usize;
-        let mut b = bytes.clone();
-        // Flip a byte deep in the adjacency area (past the 16-byte framing
-        // header the open path does read).
-        b[graph_off + graph_len - 1] ^= 0x01;
-        let mapped = open_mmap(Arc::new(Mmap::from_vec(b))).expect("open must not read the body");
-        let idx = mapped.mapped_index().unwrap();
-        assert!(matches!(
-            idx.validate_graph().unwrap_err(),
-            EngineError::ChecksumMismatch { section: "graph" }
-        ));
-        // Profile-backed queries still answer correctly.
-        let a = mapped
-            .answer(&Query::BestKSet {
-                metric: Metric::AverageDegree,
-            })
-            .unwrap();
-        assert_eq!(
-            a,
-            Answer::BestKSet {
-                metric: Metric::AverageDegree,
-                k: 2,
-                score: 2.0 * 19.0 / 12.0
-            }
-        );
-        // And the intact original validates clean.
-        let good = open_mmap(Arc::new(Mmap::from_vec(bytes))).unwrap();
-        good.mapped_index().unwrap().validate_graph().unwrap();
+    fn graph_body_flips_are_checksum_mismatches() {
+        for at in [278, 409] {
+            let mut b = figure2_bytes();
+            b[at] ^= 0x01;
+            assert!(
+                matches!(
+                    open_bytes(b).unwrap_err(),
+                    EngineError::ChecksumMismatch { section: "graph" }
+                ),
+                "byte {at}"
+            );
+        }
     }
 
     #[test]
-    fn unbuilt_dataset_refuses_v2_save() {
+    fn consistent_but_wrong_section_is_structurally_rejected() {
+        // Re-checksum a tampered section so every checksum passes; the
+        // structural checks must still catch the lie.
+        let bytes = figure2_bytes();
+        let (graph, _) = section(&bytes, 0);
+        let (coreness, _) = section(&bytes, 3);
+        let neighbors = graph + 16 + 8 * 13;
+
+        // Coreness of vertex 0 bumped by one: in range, wrong histogram.
+        let mut b = bytes.clone();
+        b[coreness] ^= 0x01;
+        reseal(&mut b);
+        let e = open_bytes(b).unwrap_err();
+        assert!(matches!(e, EngineError::BadSnapshot(_)), "{e}");
+
+        // Vertex 0's neighbors {1, 2, 3} rewritten to {1, 2, 4}: in range
+        // and sorted, but 4 does not list 0 and 3 lists a 0 that does not
+        // list it.
+        let mut b = bytes.clone();
+        let last = neighbors + 4 * 2;
+        assert_eq!(
+            b[last..last + 4],
+            3u32.to_le_bytes(),
+            "figure 2 fixture changed"
+        );
+        b[last..last + 4].copy_from_slice(&4u32.to_le_bytes());
+        reseal(&mut b);
+        let e = open_bytes(b).unwrap_err();
+        assert!(matches!(e, EngineError::Graph(_)), "{e}");
+
+        // Nonzero padding and reserved fields are rejected even when the
+        // checksums are made to agree.
+        let (set_profile, len) = section(&bytes, 1);
+        let mut b = bytes.clone();
+        b[set_profile + len] = 1;
+        assert!(matches!(
+            open_bytes(b).unwrap_err(),
+            EngineError::BadSnapshot(_)
+        ));
+        let mut b = bytes.clone();
+        b[HEADER_LEN + 4] = 1;
+        reseal(&mut b);
+        assert!(matches!(
+            open_bytes(b).unwrap_err(),
+            EngineError::BadSnapshot(_)
+        ));
+    }
+
+    #[test]
+    fn unbuilt_dataset_refuses_save() {
         let ds = Dataset::from_graph(generators::paper_figure2());
         assert!(matches!(
             to_bytes(&ds).unwrap_err(),
@@ -685,8 +909,7 @@ mod tests {
     fn core_of_reads_single_values_from_the_map() {
         let g = generators::paper_figure2();
         let expect = bestk_core::core_decomposition(&g);
-        let ds = built(g);
-        let mapped = open_mmap(Arc::new(Mmap::from_vec(to_bytes(&ds).unwrap()))).unwrap();
+        let mapped = open_bytes(to_bytes(&built(g)).unwrap()).unwrap();
         let idx = mapped.mapped_index().unwrap();
         for v in 0..12u32 {
             assert_eq!(idx.core_of(v), Some(expect.coreness(v)));

@@ -1,18 +1,16 @@
-//! Backend-equivalence property suite: every storage backend — canonical
-//! CSR, succinct CSR, and zero-copy mapped snapshot — must be
-//! *observation-identical*. Degrees, neighbor sequences, and every best-k
-//! answer are compared bit-for-bit across backends on randomized testkit
-//! graphs, and the mmap path is additionally probed with truncated and
-//! corrupted files (rejection) plus a corrupt-graph-body file (the proof
-//! that `open` does not read the full graph section before the first
-//! query).
+//! Backend-equivalence property suite: both storage backends — canonical
+//! CSR and zero-copy mapped snapshot — must be *observation-identical*.
+//! Degrees, neighbor sequences, and every best-k answer are compared
+//! bit-for-bit across backends on randomized testkit graphs, and the mmap
+//! path is additionally probed with truncated and corrupted files, all of
+//! which must be rejected at open.
 
 use std::sync::Arc;
 
 use bestk_core::Metric;
-use bestk_engine::{mmap::Mmap, snapv2, Dataset, EngineError, GraphStore, Query};
+use bestk_engine::{mmap::Mmap, snapv2, Dataset, EngineError, Query};
 use bestk_exec::ExecPolicy;
-use bestk_graph::{bytecsr, testkit, ByteCsr, CsrGraph, GraphView, SuccinctCsr};
+use bestk_graph::{bytecsr, testkit, ByteCsr, CsrGraph, GraphView};
 
 /// Renders an answer result to a stable line, errors included, so parity
 /// holds even on degenerate graphs where some queries legitimately fail.
@@ -50,19 +48,13 @@ fn backends_observe_identically_on_random_graphs() {
     let mut gen = testkit::Gen::new(0xBACC);
     for case in 0..24 {
         let g = gen.graph(48, 160);
-        let succinct = SuccinctCsr::from_csr(&g);
-        let mapped = ByteCsr::new(bytecsr::encode_view(&g)).expect("framing");
-        assert_eq!(succinct.num_vertices(), g.num_vertices(), "case {case}");
-        assert_eq!(succinct.num_edges(), g.num_edges(), "case {case}");
+        let mapped = ByteCsr::new(bytecsr::encode_view(&g)).expect("valid encoding");
         assert_eq!(mapped.num_vertices(), g.num_vertices(), "case {case}");
         assert_eq!(mapped.num_edges(), g.num_edges(), "case {case}");
         for v in g.vertices() {
             let want = g.neighbors(v).to_vec();
-            assert_eq!(GraphView::degree(&succinct, v), want.len(), "case {case}");
             assert_eq!(GraphView::degree(&mapped, v), want.len(), "case {case}");
-            let s: Vec<u32> = GraphView::neighbors(&succinct, v).collect();
             let m: Vec<u32> = GraphView::neighbors(&mapped, v).collect();
-            assert_eq!(s, want, "case {case} vertex {v}");
             assert_eq!(m, want, "case {case} vertex {v}");
         }
     }
@@ -83,13 +75,7 @@ fn best_k_answers_are_bit_identical_across_backends() {
         csr.ensure_built(&policy);
         let want: Vec<String> = qs.iter().map(|q| answer_line(&csr, q)).collect();
 
-        // Succinct backend: same artifacts pipeline, compressed scans.
-        let mut succinct = Dataset::from_store(GraphStore::from(SuccinctCsr::from_csr(&g)));
-        succinct.ensure_built(&policy);
-        let got: Vec<String> = qs.iter().map(|q| answer_line(&succinct, q)).collect();
-        assert_eq!(got, want, "case {case}: succinct diverged");
-
-        // Mapped backend: answers come straight off the v2 snapshot bytes.
+        // Mapped backend: answers come straight off the snapshot bytes.
         let bytes = snapv2::to_bytes(&csr).expect("serialize");
         let mapped = snapv2::open_mmap(Arc::new(Mmap::from_vec(bytes))).expect("open");
         let got: Vec<String> = qs.iter().map(|q| answer_line(&mapped, q)).collect();
@@ -125,53 +111,29 @@ fn truncated_snapshots_are_rejected_at_every_length() {
 }
 
 #[test]
-fn open_defers_the_graph_checksum_until_asked() {
+fn every_graph_body_flip_is_rejected_at_open() {
     let policy = ExecPolicy::with_threads(1).expect("policy");
     let mut ds = Dataset::from_graph(bestk_graph::generators::paper_figure2());
     ds.ensure_built(&policy);
-    let reference: Vec<String> = queries(12).iter().map(|q| answer_line(&ds, q)).collect();
     let bytes = snapv2::to_bytes(&ds).expect("serialize");
 
     // The graph section is the first table entry: offset at bytes 72..80,
     // length at 80..88 (64-byte header + id/reserved of entry 0).
     let off = u64::from_le_bytes(bytes[72..80].try_into().unwrap()) as usize;
     let len = u64::from_le_bytes(bytes[80..88].try_into().unwrap()) as usize;
-    assert!(len > 0 && off + len <= bytes.len());
+    assert!(len > 16 && off + len <= bytes.len());
 
-    // Flip every 7th byte of the graph body: were `open` hashing or
-    // copying the section, each flip would fail the open. It must not —
-    // the profile sections alone answer best-k queries, so the open stays
-    // O(header + profiles) and the graph checksum is paid only by
-    // `validate_graph`. The section's own 16-byte framing header is the
-    // one part `open` *does* read (its O(1) n/nnz cross-check), so the
-    // sweep starts past it.
-    assert!(len > 16, "graph section has a body to corrupt");
-    for delta in (16..len).step_by(7) {
+    // Every byte of the graph body — framing, offsets, and adjacency — is
+    // checked before the open returns, so no damaged body can reach a
+    // query or a commit.
+    for delta in 0..len {
         let mut corrupt = bytes.clone();
         corrupt[off + delta] ^= 0x01;
         match snapv2::open_mmap(Arc::new(Mmap::from_vec(corrupt))) {
-            Err(e) => panic!("open read the graph body (byte {delta}): {e}"),
-            Ok(mapped) => {
-                let idx = mapped.mapped_index().expect("mapped index");
-                assert!(
-                    idx.validate_graph().is_err(),
-                    "byte {delta}: deferred validation missed the corruption"
-                );
-                // Profile-backed answers are untouched by graph-body damage.
-                let got: Vec<String> = queries(12)
-                    .iter()
-                    .map(|q| answer_line(&mapped, q))
-                    .collect();
-                assert_eq!(got, reference, "byte {delta}");
-            }
+            Err(EngineError::ChecksumMismatch { section: "graph" }) => {}
+            Err(other) => panic!("byte {delta}: unexpected error {other}"),
+            Ok(_) => panic!("byte {delta}: a corrupt graph body opened"),
         }
     }
-
-    // And on the pristine bytes the deferred validation passes.
-    let clean = snapv2::open_mmap(Arc::new(Mmap::from_vec(bytes))).expect("open");
-    clean
-        .mapped_index()
-        .expect("mapped index")
-        .validate_graph()
-        .expect("pristine graph section validates");
+    assert!(snapv2::open_mmap(Arc::new(Mmap::from_vec(bytes))).is_ok());
 }

@@ -10,7 +10,7 @@
 /// errors retry with backoff; corruption degrades to quarantine + rebuild.
 pub const SNAPSHOT_READ: &str = "snapshot.read";
 
-/// Snapshot file writes (`bestk_engine::snapshot::save_path`): `truncate`
+/// Snapshot file writes (`bestk_engine::snapv2::save_path`): `truncate`
 /// simulates a mid-write crash leaving a partial file on disk.
 pub const SNAPSHOT_WRITE: &str = "snapshot.write";
 

@@ -23,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use bestk_engine::mmap::Mmap;
-use bestk_engine::{serve_lines_with, Dataset, ServeLimits, SharedEngine};
+use bestk_engine::{serve_lines, Dataset, ServeLimits, SharedEngine};
 use bestk_exec::ExecPolicy;
 use bestk_graph::cast;
 use bestk_graph::generators;
@@ -41,12 +41,11 @@ pub enum Surface {
     /// The textual and binary graph readers (`read_edge_list`,
     /// `read_metis`, `read_binary`).
     GraphIo,
-    /// The `.bestk` snapshot loaders, v1 (`load_bytes`) and v2
-    /// (`open_mmap` over `BESTKSS2`).
+    /// The `.bestk` snapshot opener (`open_mmap` over `BESTKSS2`).
     Snapshot,
     /// The `BESTKWAL1` write-ahead-log replayer (`replay_bytes`).
     Wal,
-    /// The line-oriented serve loop (`serve_lines_with`).
+    /// The line-oriented serve loop (`serve_lines`).
     Serve,
 }
 
@@ -188,28 +187,11 @@ fn check_graph_io(bytes: &[u8], _budget: usize) -> Check {
 }
 
 fn check_snapshot(bytes: &[u8], _budget: usize) -> Check {
-    let mut any_valid = false;
-    let v1 = contained(|| match bestk_engine::snapshot::load_bytes(bytes) {
-        Ok(ds) => snapshot_verdict(&ds, bytes.len()),
-        Err(_) => Check::TypedError,
-    });
     let map = Arc::new(Mmap::from_vec(bytes.to_vec()));
-    let v2 = contained(|| match bestk_engine::snapv2::open_mmap(map) {
+    contained(|| match bestk_engine::snapv2::open_mmap(map) {
         Ok(ds) => snapshot_verdict(&ds, bytes.len()),
         Err(_) => Check::TypedError,
-    });
-    for v in [v1, v2] {
-        match v {
-            Check::Valid => any_valid = true,
-            Check::TypedError => {}
-            finding => return finding,
-        }
-    }
-    if any_valid {
-        Check::Valid
-    } else {
-        Check::TypedError
-    }
+    })
 }
 
 fn snapshot_verdict(ds: &Dataset, input_len: usize) -> Check {
@@ -250,7 +232,14 @@ fn check_serve(bytes: &[u8]) -> Check {
             max_inflight: 4,
         };
         let mut out: Vec<u8> = Vec::new();
-        match serve_lines_with(&engine, &ExecPolicy::Sequential, bytes, &mut out, &limits) {
+        match serve_lines(
+            &engine,
+            &ExecPolicy::Sequential,
+            bytes,
+            &mut out,
+            &limits,
+            None,
+        ) {
             // Replies into a Vec cannot fail; bound the output so a reply
             // loop cannot amplify a small script without being noticed.
             Ok(_) if out.len() <= (1 << 22) => Check::Valid,
@@ -279,7 +268,7 @@ pub fn base_inputs(surface: Surface) -> Vec<Vec<u8>> {
         }
         Surface::Snapshot => {
             let ds = built_figure2();
-            vec![snapshot_v1_bytes(&ds), snapshot_v2_bytes(&ds)]
+            vec![bestk_engine::snapv2::to_bytes(&ds).expect("encode snapshot")] // bestk-analyze: allow(no-unwrap) — exemplar fixture setup, broken build if it fails
         }
         Surface::Wal => {
             // A fully valid stream: magic + insert/delete/commit frames.
@@ -312,21 +301,6 @@ fn built_figure2() -> Dataset {
     let mut ds = Dataset::from_graph(generators::paper_figure2());
     ds.ensure_built(&ExecPolicy::Sequential);
     ds
-}
-
-fn snapshot_v1_bytes(ds: &Dataset) -> Vec<u8> {
-    // v1 has no in-memory encoder, so bounce through a temp file.
-    let dir = std::env::temp_dir().join(format!("bestk-fuzz-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir"); // bestk-analyze: allow(no-unwrap) — exemplar fixture setup, broken build if it fails
-    let path = dir.join("base-v1.bestk");
-    bestk_engine::save_snapshot_path(ds, &path).expect("save v1"); // bestk-analyze: allow(no-unwrap) — exemplar fixture setup, broken build if it fails
-    let bytes = std::fs::read(&path).expect("read v1"); // bestk-analyze: allow(no-unwrap) — exemplar fixture setup, broken build if it fails
-    let _ = std::fs::remove_file(&path);
-    bytes
-}
-
-fn snapshot_v2_bytes(ds: &Dataset) -> Vec<u8> {
-    bestk_engine::snapv2::to_bytes(ds).expect("encode v2") // bestk-analyze: allow(no-unwrap) — exemplar fixture setup, broken build if it fails
 }
 
 /// Per-seed inputs: the grammar generator's almost-valid input(s) plus

@@ -2,11 +2,12 @@
 //!
 //! [`ByteCsr`] interprets a flat byte buffer — typically a slice borrowed
 //! from a memory-mapped snapshot — as a CSR graph without deserializing
-//! it. Construction is `O(1)`: only the 16-byte header is read and the
-//! total length cross-checked. Every accessor afterwards is
-//! bounds-clamped, so even *corrupt* bytes can never panic the process;
-//! they can only yield wrong answers, which the snapshot layer's
-//! checksums and [`ByteCsr::validate_structure`] exist to catch.
+//! it. Construction checks every byte of the layout: the framing header,
+//! monotone offsets, and the simple-graph invariants of the adjacency
+//! (sorted, symmetric, in range, no self loops — the same
+//! [`validate_simple`] pass behind [`CsrGraph::validate`]). That costs
+//! `O(n + m)` reads and one `n`-entry scratch array, never a copy of the
+//! graph: adjacency is still served straight from the bytes.
 //!
 //! ## Layout (all little-endian)
 //!
@@ -14,14 +15,14 @@
 //! offset   size        field
 //! 0        8           n    — vertex count
 //! 8        8           nnz  — adjacency entries (2 m)
-//! 16       8 (n + 1)   offsets, monotone, offsets[n] == nnz
+//! 16       8 (n + 1)   offsets, monotone, offsets[0] == 0, offsets[n] == nnz
 //! 16+8(n+1) 4 nnz      neighbors, u32 ids
 //! ```
 //!
 //! The same layout is produced by [`encode_view`] and embedded verbatim
-//! as the graph section of version-2 `.bestk` snapshots.
+//! as the graph section of `.bestk` snapshots.
 
-use crate::view::{GraphView, Neighbors};
+use crate::view::{validate_simple, GraphView, Neighbors};
 use crate::{CsrGraph, GraphError, VertexId};
 
 /// Header bytes before the offsets array: `n` and `nnz`.
@@ -39,36 +40,49 @@ pub struct ByteCsr<B: AsRef<[u8]>> {
 }
 
 impl<B: AsRef<[u8]>> ByteCsr<B> {
-    /// Wraps `bytes` as a CSR view after `O(1)` framing checks: the
-    /// header must parse and the buffer length must match it exactly.
-    /// No per-element validation happens here — see
-    /// [`validate_structure`](Self::validate_structure).
+    /// Wraps `bytes` as a CSR view after checking all of them: the header
+    /// must parse, the buffer length must match it exactly, the offsets
+    /// must run monotonically from 0 to `nnz`, and the adjacency must be
+    /// a simple undirected graph.
     pub fn new(bytes: B) -> Result<Self, GraphError> {
-        let bad = |msg: String| GraphError::BadBinaryFormat(msg);
+        let bad = |msg: String| GraphError::BadBinaryFormat(format!("byte-csr: {msg}"));
         let buf = bytes.as_ref();
         if buf.len() < HEADER {
-            return Err(bad(format!("byte-csr: {} bytes, need >= 16", buf.len())));
+            return Err(bad(format!("{} bytes, need >= 16", buf.len())));
         }
         let n64 = read_u64(buf, 0);
         let nnz64 = read_u64(buf, 8);
         if n64 > u64::from(u32::MAX) {
-            return Err(bad(format!("byte-csr: vertex count {n64} overflows u32")));
+            return Err(bad(format!("vertex count {n64} overflows u32")));
         }
         let n = n64 as usize;
-        let nnz = usize::try_from(nnz64).map_err(|_| bad("byte-csr: nnz overflows".into()))?;
+        let nnz = usize::try_from(nnz64).map_err(|_| bad("nnz overflows".into()))?;
         let need = (n + 1)
             .checked_mul(8)
             .and_then(|o| nnz.checked_mul(4).map(|a| (o, a)))
             .and_then(|(o, a)| o.checked_add(a))
             .and_then(|body| body.checked_add(HEADER))
-            .ok_or_else(|| bad("byte-csr: header sizes overflow".into()))?;
+            .ok_or_else(|| bad("header sizes overflow".into()))?;
         if buf.len() != need {
             return Err(bad(format!(
-                "byte-csr: {} bytes but header implies {need} (n = {n}, nnz = {nnz})",
+                "{} bytes but header implies {need} (n = {n}, nnz = {nnz})",
                 buf.len()
             )));
         }
-        Ok(ByteCsr { bytes, n, nnz })
+        let mut prev = 0u64;
+        for i in 0..=n {
+            let cur = read_u64(buf, HEADER + 8 * i);
+            if (i == 0 && cur != 0) || cur < prev {
+                return Err(bad(format!("offsets are not monotone from 0 at slot {i}")));
+            }
+            prev = cur;
+        }
+        if prev != nnz64 {
+            return Err(bad(format!("offsets end at {prev}, expected {nnz}")));
+        }
+        let view = ByteCsr { bytes, n, nnz };
+        validate_simple(&view).map_err(bad)?;
+        Ok(view)
     }
 
     /// The backing bytes.
@@ -77,63 +91,23 @@ impl<B: AsRef<[u8]>> ByteCsr<B> {
         self.bytes.as_ref()
     }
 
-    /// Clamped offset of vertex slot `i` (`0..=n`): corrupt offset bytes
-    /// degrade to an empty range instead of an out-of-bounds panic.
+    /// Offset of vertex slot `i` (`0..=n`). The constructor proved the
+    /// offsets monotone and bounded by `nnz`; the clamp keeps the accessor
+    /// panic-free on its face.
     #[inline]
     fn offset(&self, i: usize) -> usize {
         let raw = read_u64(self.bytes.as_ref(), HEADER + 8 * i);
         usize::try_from(raw).unwrap_or(usize::MAX).min(self.nnz)
     }
 
-    /// Full structural validation of the underlying bytes: monotone
-    /// offsets ending at `nnz` and every neighbor id `< n`. `O(n + m)` —
-    /// the price deferred by the zero-copy open path.
-    pub fn validate_structure(&self) -> Result<(), GraphError> {
-        let bad = |msg: String| GraphError::BadBinaryFormat(msg);
-        let buf = self.bytes.as_ref();
-        let mut prev = 0u64;
-        for i in 0..=self.n {
-            let cur = read_u64(buf, HEADER + 8 * i);
-            if cur < prev {
-                return Err(bad(format!("byte-csr: offsets decrease at slot {i}")));
-            }
-            prev = cur;
-        }
-        if prev != self.nnz as u64 {
-            return Err(bad(format!(
-                "byte-csr: offsets end at {prev}, expected {}",
-                self.nnz
-            )));
-        }
+    /// Materializes the bytes as a [`CsrGraph`] (a copy; the view itself
+    /// serves adjacency without one).
+    pub fn to_csr(&self) -> CsrGraph {
+        let offsets = (0..=self.n).map(|i| self.offset(i)).collect();
         let base = HEADER + 8 * (self.n + 1);
-        for j in 0..self.nnz {
-            let w = read_u32(buf, base + 4 * j);
-            if w as usize >= self.n {
-                return Err(bad(format!(
-                    "byte-csr: neighbor id {w} out of range (n = {})",
-                    self.n
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Materializes a [`CsrGraph`], re-checking every invariant on the
-    /// way in.
-    pub fn to_csr(&self) -> Result<CsrGraph, GraphError> {
         let buf = self.bytes.as_ref();
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        for i in 0..=self.n {
-            let raw = read_u64(buf, HEADER + 8 * i);
-            offsets.push(
-                usize::try_from(raw).map_err(|_| {
-                    GraphError::BadBinaryFormat("byte-csr: offset overflows".into())
-                })?,
-            );
-        }
-        let base = HEADER + 8 * (self.n + 1);
         let neighbors = (0..self.nnz).map(|j| read_u32(buf, base + 4 * j)).collect();
-        CsrGraph::try_from_parts(offsets, neighbors)
+        CsrGraph::from_parts(offsets, neighbors)
     }
 }
 
@@ -246,8 +220,7 @@ mod tests {
             let got: Vec<_> = GraphView::neighbors(&view, v).collect();
             assert_eq!(got, g.neighbors(v).to_vec());
         }
-        assert!(view.validate_structure().is_ok());
-        assert_eq!(view.to_csr().expect("validated bytes materialize"), g);
+        assert_eq!(view.to_csr(), g);
     }
 
     #[test]
@@ -261,29 +234,37 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_offsets_degrade_without_panicking() {
+    fn corrupt_offsets_and_ids_are_rejected_at_open() {
         let g = sample();
-        let mut bytes = encode_view(&g);
-        // Smash the offset of vertex 1 to a huge value: degree clamps to
-        // zero-range instead of slicing out of bounds.
-        bytes[HEADER + 8..HEADER + 16].copy_from_slice(&u64::MAX.to_le_bytes());
-        let view = ByteCsr::new(bytes.as_slice()).expect("framing is still intact");
-        for v in view.vertices() {
-            let d = GraphView::degree(&view, v);
-            assert_eq!(GraphView::neighbors(&view, v).count(), d);
+        let base = HEADER + 8 * (g.num_vertices() + 1);
+        let mut huge_offset = encode_view(&g);
+        huge_offset[HEADER + 8..HEADER + 16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut nonzero_first = encode_view(&g);
+        nonzero_first[HEADER] = 1;
+        let mut out_of_range = encode_view(&g);
+        out_of_range[base..base + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        // Vertex 0's neighbor 1 rewritten to 3: in range and still sorted,
+        // but 3 does not list 0 and 1 lists a 0 that does not list it.
+        let mut asymmetric = encode_view(&g);
+        asymmetric[base..base + 4].copy_from_slice(&3u32.to_le_bytes());
+        for (name, bytes) in [
+            ("huge offset", huge_offset),
+            ("nonzero first offset", nonzero_first),
+            ("out-of-range id", out_of_range),
+            ("asymmetric", asymmetric),
+        ] {
+            assert!(ByteCsr::new(bytes.as_slice()).is_err(), "{name}");
         }
-        assert!(view.validate_structure().is_err());
-        assert!(view.to_csr().is_err());
     }
 
     #[test]
-    fn corrupt_neighbor_ids_fail_structural_validation() {
-        let g = sample();
-        let mut bytes = encode_view(&g);
-        let base = HEADER + 8 * (g.num_vertices() + 1);
-        bytes[base..base + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let view = ByteCsr::new(bytes.as_slice()).expect("framing is still intact");
-        assert!(view.validate_structure().is_err());
+    fn every_single_byte_flip_is_rejected() {
+        let bytes = encode_view(&sample());
+        for at in 0..bytes.len() {
+            let mut corrupt = bytes.clone();
+            corrupt[at] ^= 0x01;
+            assert!(ByteCsr::new(corrupt.as_slice()).is_err(), "flip at {at}");
+        }
     }
 
     #[test]
@@ -292,10 +273,7 @@ mod tests {
             let g = gen.graph(150, 500);
             let bytes = encode_view(&g);
             let view = ByteCsr::new(bytes.as_slice()).expect("fresh encoding must parse");
-            assert_eq!(
-                view.to_csr().expect("fresh encoding is structurally valid"),
-                g
-            );
+            assert_eq!(view.to_csr(), g);
         });
     }
 }

@@ -58,38 +58,6 @@ impl CsrGraph {
         CsrGraph { offsets, neighbors }
     }
 
-    /// Non-panicking twin of [`from_parts`](Self::from_parts) for
-    /// deserializers handling untrusted bytes: the same invariants are
-    /// checked, but a violation comes back as a descriptive error instead
-    /// of aborting the process.
-    pub fn try_from_parts(
-        offsets: Vec<usize>,
-        neighbors: Vec<VertexId>,
-    ) -> Result<Self, crate::GraphError> {
-        let bad = |msg: String| crate::GraphError::BadBinaryFormat(msg);
-        if offsets.is_empty() {
-            return Err(bad("offsets must have length n + 1 >= 1".into()));
-        }
-        if offsets[0] != 0 {
-            return Err(bad("offsets[0] must be 0".into()));
-        }
-        if offsets.last().copied().unwrap_or(0) != neighbors.len() {
-            return Err(bad(format!(
-                "offsets end at {} but there are {} neighbors",
-                offsets.last().copied().unwrap_or(0),
-                neighbors.len()
-            )));
-        }
-        if !offsets.windows(2).all(|w| w[0] <= w[1]) {
-            return Err(bad("offsets must be non-decreasing".into()));
-        }
-        let n = offsets.len() - 1;
-        if let Some(&u) = neighbors.iter().find(|&&u| (u as usize) >= n) {
-            return Err(bad(format!("neighbor id {u} out of range (n = {n})")));
-        }
-        Ok(CsrGraph { offsets, neighbors })
-    }
-
     /// Assembles a graph from one neighbor list per vertex, each in any
     /// order: the lists are copied and sorted by id, then checked with
     /// [`validate`](Self::validate).
@@ -228,40 +196,10 @@ impl CsrGraph {
     }
 
     /// Checks the simple-graph invariants: sorted adjacency, neighbor ids
-    /// in range, no self loops, no duplicates, and symmetric edges. Costs
-    /// `O(n + m)`: walks the vertices in id order and matches each edge
-    /// `{u, v}`, `u < v`, against the next unmatched lower neighbor of `v`
-    /// — sorted lists list their lower neighbors in exactly that order.
+    /// in range, no self loops, no duplicates, and symmetric edges, in
+    /// `O(n + m)` (see [`validate_simple`](crate::validate_simple)).
     pub fn validate(&self) -> Result<(), String> {
-        let n = self.num_vertices();
-        let mut matched = vec![0usize; n];
-        for u in self.vertices() {
-            let adj = self.neighbors(u);
-            if adj.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("adjacency of {u} is not strictly sorted"));
-            }
-            for &v in adj {
-                if v == u {
-                    return Err(format!("self loop at {u}"));
-                }
-                if v > u {
-                    let Some(slot) = matched.get_mut(v as usize) else {
-                        return Err(format!("neighbor id {v} out of range (n = {n})"));
-                    };
-                    if self.neighbors(v).get(*slot) != Some(&u) {
-                        return Err(format!("edge ({u},{v}) is not symmetric"));
-                    }
-                    *slot += 1;
-                }
-            }
-        }
-        for v in self.vertices() {
-            let lower = self.neighbors(v).partition_point(|&x| x < v);
-            if matched[v as usize] != lower {
-                return Err(format!("a lower neighbor of {v} does not list it"));
-            }
-        }
-        Ok(())
+        crate::view::validate_simple(self)
     }
 }
 

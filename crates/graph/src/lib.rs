@@ -48,7 +48,6 @@ pub mod io;
 pub mod rng;
 pub mod stats;
 pub mod subgraph;
-mod succinct;
 pub mod testkit;
 pub mod transform;
 pub mod verify;
@@ -59,8 +58,7 @@ pub use builder::{build_relabeled, GraphBuilder};
 pub use bytecsr::ByteCsr;
 pub use csr::{CsrGraph, EdgeIter, VertexId};
 pub use error::GraphError;
-pub use succinct::{EliasFano, SuccinctCsr};
-pub use view::{GraphView, Neighbors};
+pub use view::{validate_simple, GraphView, Neighbors};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -4,15 +4,14 @@
 //! implements: vertex/edge counts, degrees, and per-vertex neighbor
 //! iteration in a *defined order* (the backend's stored adjacency order).
 //! Algorithms written against `&impl GraphView` run unchanged — and
-//! produce bit-identical answers — over the materialized [`CsrGraph`],
-//! the compressed [`SuccinctCsr`](crate::SuccinctCsr), or a zero-copy
-//! byte view borrowed from a mapped snapshot
+//! produce bit-identical answers — over the materialized [`CsrGraph`] or
+//! a zero-copy byte view borrowed from a mapped snapshot
 //! ([`ByteCsr`](crate::ByteCsr)).
 //!
 //! [`Neighbors`] is a concrete enum iterator rather than an associated
 //! type so backends living in other crates can construct one from their
-//! own storage (vertex-id slices, little-endian byte ranges, or varint
-//! gap streams) without the trait growing generics at every call site.
+//! own storage (vertex-id slices or little-endian byte ranges) without
+//! the trait growing generics at every call site.
 
 use crate::cast;
 use crate::csr::CsrGraph;
@@ -96,6 +95,50 @@ pub trait GraphView {
         }
         out
     }
+}
+
+/// Checks the simple-graph invariants of any view: every adjacency list
+/// strictly sorted, neighbor ids in range, no self loops, and symmetric
+/// edges. The one validator behind [`CsrGraph::validate`] and
+/// [`ByteCsr::new`](crate::ByteCsr::new).
+///
+/// Costs `O(n + m)` time and one `n`-entry cursor array: walks the
+/// vertices in id order and matches each edge `{u, v}`, `u < v`, against
+/// the next unmatched lower neighbor of `v` — sorted lists list their
+/// lower neighbors in exactly that order. By the time the walk reaches
+/// `u`, every lower neighbor of `u` has been matched, so a count mismatch
+/// there means some lower neighbor of `u` does not list it.
+pub fn validate_simple<G: GraphView + ?Sized>(g: &G) -> Result<(), String> {
+    let n = g.num_vertices();
+    let mut matched = vec![0usize; n];
+    for u in g.vertices() {
+        let mut prev = None;
+        let mut lower = 0usize;
+        for v in g.neighbors(u) {
+            if prev.is_some_and(|p| p >= v) {
+                return Err(format!("adjacency of {u} is not strictly sorted"));
+            }
+            prev = Some(v);
+            if v == u {
+                return Err(format!("self loop at {u}"));
+            }
+            if v < u {
+                lower += 1;
+                continue;
+            }
+            let Some(slot) = matched.get_mut(v as usize) else {
+                return Err(format!("neighbor id {v} out of range (n = {n})"));
+            };
+            if g.neighbors(v).nth(*slot) != Some(u) {
+                return Err(format!("edge ({u},{v}) is not symmetric"));
+            }
+            *slot += 1;
+        }
+        if matched[u as usize] != lower {
+            return Err(format!("a lower neighbor of {u} does not list it"));
+        }
+    }
+    Ok(())
 }
 
 impl GraphView for CsrGraph {
@@ -200,10 +243,10 @@ impl<T: GraphView + ?Sized> GraphView for &T {
 /// Neighbor iterator shared by every backend.
 ///
 /// A concrete enum rather than `impl Iterator` so [`GraphView`] stays a
-/// plain trait; the variants cover the three physical layouts in the
+/// plain trait; the variants cover the two physical layouts in the
 /// workspace. Truncated or malformed byte payloads terminate the stream
 /// early instead of panicking — corrupt mapped bytes must never abort the
-/// process (structural validation is the snapshot layer's job).
+/// process (`ByteCsr::new` validates the structure up front).
 #[derive(Clone)]
 pub struct Neighbors<'a> {
     inner: Inner<'a>,
@@ -216,9 +259,6 @@ enum Inner<'a> {
     Slice(std::slice::Iter<'a, VertexId>),
     /// Little-endian `u32` groups borrowed from raw bytes (mapped views).
     Bytes(&'a [u8]),
-    /// Varint-encoded gap stream (succinct CSR): first value raw, each
-    /// following value a delta from its predecessor.
-    Gaps { bytes: &'a [u8], prev: u64 },
 }
 
 impl<'a> Neighbors<'a> {
@@ -241,20 +281,9 @@ impl<'a> Neighbors<'a> {
         }
     }
 
-    /// `count` neighbors from a varint gap stream (first value raw, then
-    /// deltas). A stream that runs dry before `count` values ends the
-    /// iterator early.
-    #[inline]
-    pub fn from_gaps(bytes: &'a [u8], count: usize) -> Self {
-        Neighbors {
-            remaining: count,
-            inner: Inner::Gaps { bytes, prev: 0 },
-        }
-    }
-
     /// The borrowed slice, when this iterator is slice-backed and
     /// unconsumed decode state allows it. Fast path for concrete CSR
-    /// consumers; `None` for compressed or byte-backed streams.
+    /// consumers; `None` for byte-backed streams.
     #[inline]
     pub fn as_slice(&self) -> Option<&'a [VertexId]> {
         match &self.inner {
@@ -262,25 +291,6 @@ impl<'a> Neighbors<'a> {
             _ => None,
         }
     }
-}
-
-/// Reads one LEB128-style varint from the front of `bytes`, returning the
-/// value and the rest. `None` on a truncated or over-long encoding.
-#[inline]
-fn take_varint(bytes: &[u8]) -> Option<(u64, &[u8])> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    for (i, &b) in bytes.iter().enumerate() {
-        if shift >= 64 {
-            return None;
-        }
-        value |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some((value, &bytes[i + 1..]));
-        }
-        shift += 7;
-    }
-    None
 }
 
 impl Iterator for Neighbors<'_> {
@@ -302,15 +312,6 @@ impl Iterator for Neighbors<'_> {
                     Some(v)
                 }
             }
-            Inner::Gaps { bytes, prev } => match take_varint(bytes) {
-                Some((delta, rest)) => {
-                    *bytes = rest;
-                    let v = prev.saturating_add(delta);
-                    *prev = v;
-                    Some(cast::u32_from_u64(v.min(u64::from(VertexId::MAX))))
-                }
-                None => None,
-            },
         };
         match out {
             Some(v) => {
@@ -324,6 +325,19 @@ impl Iterator for Neighbors<'_> {
         }
     }
 
+    /// Random access in `O(1)` on both layouts: skips `k` entries without
+    /// decoding them.
+    #[inline]
+    fn nth(&mut self, k: usize) -> Option<VertexId> {
+        let skip = k.min(self.remaining);
+        match &mut self.inner {
+            Inner::Slice(it) => *it = it.as_slice().get(skip..).unwrap_or(&[]).iter(),
+            Inner::Bytes(bytes) => *bytes = bytes.get(4 * skip..).unwrap_or(&[]),
+        }
+        self.remaining -= skip;
+        self.next()
+    }
+
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         // Upper bound is exact for well-formed streams; truncated byte
@@ -331,7 +345,6 @@ impl Iterator for Neighbors<'_> {
         let lower = match &self.inner {
             Inner::Slice(_) => self.remaining,
             Inner::Bytes(bytes) => self.remaining.min(bytes.len() / 4),
-            Inner::Gaps { bytes, .. } => self.remaining.min(bytes.len()),
         };
         (lower, Some(self.remaining))
     }
@@ -347,20 +360,6 @@ impl ExactSizeIterator for Neighbors<'_> {
 impl std::fmt::Debug for Neighbors<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Neighbors {{ remaining: {} }}", self.remaining)
-    }
-}
-
-/// Encodes `value` as a LEB128-style varint onto `out`.
-#[inline]
-pub(crate) fn push_varint(out: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = cast::low_byte(value) & 0x7f;
-        value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
 }
 
@@ -429,26 +428,28 @@ mod tests {
     }
 
     #[test]
-    fn gap_iterator_round_trips_varints() {
-        let values = [3u64, 4, 1000, 1001, 4_000_000_000];
-        let mut bytes = Vec::new();
-        let mut prev = 0u64;
-        for &v in &values {
-            push_varint(&mut bytes, v - prev);
-            prev = v;
+    fn nth_skips_on_both_layouts() {
+        let ids = [3u32, 5, 8, 13];
+        let bytes: Vec<u8> = ids.iter().flat_map(|v| v.to_le_bytes()).collect();
+        for mut it in [
+            Neighbors::from_slice(&ids),
+            Neighbors::from_le_bytes(&bytes),
+        ] {
+            assert_eq!(it.clone().next(), Some(3));
+            assert_eq!(it.clone().nth(3), Some(13));
+            assert_eq!(it.clone().nth(4), None);
+            assert_eq!(it.nth(1), Some(5));
+            assert_eq!(it.len(), 2);
+            assert_eq!(it.collect::<Vec<_>>(), vec![8, 13]);
         }
-        let got: Vec<_> = Neighbors::from_gaps(&bytes, values.len()).collect();
-        assert_eq!(got, vec![3, 4, 1000, 1001, 4_000_000_000]);
     }
 
     #[test]
-    fn gap_iterator_ends_early_on_truncated_stream() {
-        let mut bytes = Vec::new();
-        push_varint(&mut bytes, 5);
-        push_varint(&mut bytes, 300);
-        let truncated = &bytes[..bytes.len() - 1];
-        let got: Vec<_> = Neighbors::from_gaps(truncated, 2).collect();
-        assert_eq!(got, vec![5]);
+    fn validate_simple_agrees_with_the_csr_contract() {
+        assert!(validate_simple(&diamond()).is_ok());
+        let g = crate::generators::erdos_renyi_gnm(80, 300, 5);
+        assert!(validate_simple(&g).is_ok());
+        assert!(validate_simple(&CsrGraph::empty(4)).is_ok());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 
 use bestk_engine::{
-    serve_lines, snapshot, Control, Dataset, RetryPolicy, ServeLimits, SharedEngine,
+    serve_lines, snapshot, snapv2, Control, Dataset, RetryPolicy, ServeLimits, SharedEngine,
 };
 use bestk_exec::ExecPolicy;
 use bestk_faults::{sites, Fault, FaultPlan, SiteSpec};
@@ -51,7 +51,7 @@ fn fixture(tag: &str) -> (PathBuf, PathBuf, PathBuf) {
     bestk_graph::io::write_edge_list_path(&g, &source).expect("write source");
     let mut ds = Dataset::from_graph(g);
     ds.ensure_built(&ExecPolicy::Sequential);
-    snapshot::save_path(&ds, &snap).expect("write snapshot");
+    snapv2::save_path(&ds, &snap).expect("write snapshot");
     (dir, source, snap)
 }
 
@@ -153,8 +153,15 @@ fn run_session(plan: &FaultPlan, strict: bool, context: &str) {
         // The `quit` request itself can be shed or mangled, in which case
         // the stream ends at EOF with `Continue` — both controls are fine;
         // the invariant is that serve_lines returns Ok at all.
-        let control = serve_lines(&engine, &policy, &script(&snap, &source)[..], &mut out)
-            .unwrap_or_else(|e| panic!("{context}: server died: {e}"));
+        let control = serve_lines(
+            &engine,
+            &policy,
+            &script(&snap, &source)[..],
+            &mut out,
+            &ServeLimits::default(),
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{context}: server died: {e}"));
         assert!(matches!(control, Control::Quit | Control::Continue));
         assert_replies(&String::from_utf8_lossy(&out), strict, context);
         assert_injection_accounting(&before, context);
@@ -284,7 +291,7 @@ fn snapshot_write_crashes_heal_or_fail_typed() {
                 attempts: 3,
                 backoff: std::time::Duration::ZERO,
             };
-            match snapshot::save_path_with_retry(&ds, &path, &retry) {
+            match snapv2::save_path_with_retry(&ds, &path, &retry) {
                 Ok(()) => {
                     // A successful save must round-trip to the same answers
                     // (read with retries: the plan is still live).
@@ -336,6 +343,8 @@ fn corrupt_snapshot_on_startup_quarantines_and_rebuilds() {
             &ExecPolicy::Sequential,
             &script(&snap, &source)[..],
             &mut out,
+            &ServeLimits::default(),
+            None,
         )
         .expect("server survives");
         let text = String::from_utf8_lossy(&out);
@@ -553,8 +562,15 @@ fn wal_append_faults_fail_typed_and_the_log_stays_adoptable() {
             )
             .into_bytes();
             let mut out = Vec::new();
-            let control = serve_lines(&engine, &ExecPolicy::Sequential, &script[..], &mut out)
-                .unwrap_or_else(|e| panic!("seed {seed}: server died: {e}"));
+            let control = serve_lines(
+                &engine,
+                &ExecPolicy::Sequential,
+                &script[..],
+                &mut out,
+                &ServeLimits::default(),
+                None,
+            )
+            .unwrap_or_else(|e| panic!("seed {seed}: server died: {e}"));
             assert!(matches!(control, Control::Quit | Control::Continue));
             let text = String::from_utf8_lossy(&out);
             for (i, line) in text.lines().enumerate() {

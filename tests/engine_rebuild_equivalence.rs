@@ -2,8 +2,9 @@
 //! artifacts inside the serving stack — a clean rebuild from a source
 //! edge list, quarantine recovery from a corrupt snapshot, and the
 //! write-ahead-log compaction that rewrites the snapshot in place — must
-//! produce **byte-identical** snapshots (v1 and v2) whether the build ran
-//! sequentially or on the shared runtime at any thread count.
+//! produce **bit-identical** index arrays and **byte-identical** snapshots
+//! whether the build ran sequentially or on the shared runtime at any
+//! thread count.
 //!
 //! The peel itself is sequential; the ordering tags, triangle kernel, and
 //! sweeps downstream of it run on the policy's workers. This suite is what
@@ -13,7 +14,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bestk_engine::{serve_lines, snapshot, snapv2, Dataset, SharedEngine};
+use bestk_core::{CoreDecomposition, CoreForestNode};
+use bestk_engine::{serve_lines, snapv2, Dataset, RetryPolicy, ServeLimits, SharedEngine};
 use bestk_exec::ExecPolicy;
 use bestk_graph::generators::{self, edge_stream_mixed};
 use bestk_graph::CsrGraph;
@@ -35,14 +37,40 @@ fn base_graph() -> CsrGraph {
     generators::shell_ladder(7, 9)
 }
 
-/// v1 and v2 snapshot bytes of a built dataset.
-fn snapshot_bytes(ds: &Dataset, dir: &Path, tag: &str) -> (Vec<u8>, Vec<u8>) {
-    let mut v1 = Vec::new();
-    snapshot::save(ds, &mut v1).expect("save v1");
-    let v2_path = dir.join(format!("{tag}.bestk2"));
-    snapv2::save_path(ds, &v2_path).expect("save v2");
-    let v2 = std::fs::read(&v2_path).expect("read v2");
-    (v1, v2)
+/// The index arrays a snapshot does not persist, compared in memory: the
+/// decomposition (peel order included), the Alg. 1 rank-ordered adjacency
+/// with its `same`/`plus`/`high` tags, and the forest's nodes plus its
+/// vertex-to-node map.
+type IndexArrays = (
+    CoreDecomposition,
+    [Vec<u32>; 4],
+    Vec<CoreForestNode>,
+    Vec<u32>,
+);
+
+fn index_arrays(ds: &Dataset) -> IndexArrays {
+    let art = ds.artifacts().expect("owned artifacts");
+    (
+        art.decomp.clone(),
+        [
+            art.adj.clone(),
+            art.same.clone(),
+            art.plus.clone(),
+            art.high.clone(),
+        ],
+        art.forest.nodes().to_vec(),
+        art.forest.vertex_nodes().to_vec(),
+    )
+}
+
+/// The in-memory index arrays and the snapshot bytes of a built dataset.
+fn fingerprint(ds: &Dataset, dir: &Path, tag: &str) -> (IndexArrays, Vec<u8>) {
+    let path = dir.join(format!("{tag}.bestk2"));
+    snapv2::save_path(ds, &path).expect("save snapshot");
+    (
+        index_arrays(ds),
+        std::fs::read(&path).expect("read snapshot"),
+    )
 }
 
 /// Takes the named dataset out of the engine, forcing the lazy artifact
@@ -61,7 +89,7 @@ fn built_dataset(eng: &SharedEngine, name: &str, policy: &ExecPolicy) -> Arc<Dat
 fn write_corrupt_snapshot(g: &CsrGraph, path: &Path, seed: usize) {
     let mut ds = Dataset::from_graph(g.clone());
     ds.ensure_built(&ExecPolicy::Sequential);
-    snapshot::save_path(&ds, path).expect("write snapshot");
+    snapv2::save_path(&ds, path).expect("write snapshot");
     let mut bytes = std::fs::read(path).expect("read snapshot");
     let at = 16 + (seed * 131) % (bytes.len() - 16);
     bytes[at] ^= 0xff;
@@ -75,7 +103,7 @@ fn quarantine_rebuild_is_byte_identical_across_strategies() {
     let source = dir.join("g.txt");
     bestk_graph::io::write_edge_list_path(&g, &source).expect("write source");
 
-    let mut reference: Option<(Vec<u8>, Vec<u8>)> = None;
+    let mut reference: Option<(IndexArrays, Vec<u8>)> = None;
     for (label, policy) in std::iter::once(("seq".to_string(), ExecPolicy::Sequential))
         .chain(THREADS.map(|t| (format!("par{t}"), ExecPolicy::with_threads(t).unwrap())))
     {
@@ -88,7 +116,7 @@ fn quarantine_rebuild_is_byte_identical_across_strategies() {
                 "g",
                 snap.to_str().unwrap(),
                 Some(source.to_str().unwrap()),
-                &snapshot::RetryPolicy::none(),
+                &RetryPolicy::none(),
                 &policy,
             )
             .expect("resilient load");
@@ -99,12 +127,12 @@ fn quarantine_rebuild_is_byte_identical_across_strategies() {
         );
 
         let ds = built_dataset(&eng, "g", &policy);
-        let bytes = snapshot_bytes(&ds, &dir, &label);
+        let bytes = fingerprint(&ds, &dir, &label);
         match &reference {
             None => reference = Some(bytes),
             Some(want) => {
-                assert_eq!(bytes.0, want.0, "{label}: v1 bytes");
-                assert_eq!(bytes.1, want.1, "{label}: v2 bytes");
+                assert!(bytes.0 == want.0, "{label}: index arrays");
+                assert_eq!(bytes.1, want.1, "{label}: snapshot bytes");
             }
         }
     }
@@ -122,7 +150,7 @@ fn serve_stack_rebuild_from_source_is_byte_identical() {
     let source = dir.join("g.txt");
     bestk_graph::io::write_edge_list_path(&g, &source).expect("write source");
 
-    let mut reference: Option<(Vec<u8>, Vec<u8>)> = None;
+    let mut reference: Option<(IndexArrays, Vec<u8>)> = None;
     for (label, policy) in std::iter::once(("seq".to_string(), ExecPolicy::Sequential))
         .chain(THREADS.map(|t| (format!("par{t}"), ExecPolicy::with_threads(t).unwrap())))
     {
@@ -136,7 +164,15 @@ fn serve_stack_rebuild_from_source_is_byte_identical() {
             source.display()
         );
         let mut out = Vec::new();
-        serve_lines(&eng, &policy, script.as_bytes(), &mut out).expect("server survives");
+        serve_lines(
+            &eng,
+            &policy,
+            script.as_bytes(),
+            &mut out,
+            &ServeLimits::default(),
+            None,
+        )
+        .expect("server survives");
         let text = String::from_utf8_lossy(&out);
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("ok\trebuilt\tg"), "{label}");
@@ -146,12 +182,12 @@ fn serve_stack_rebuild_from_source_is_byte_identical() {
         );
 
         let ds = built_dataset(&eng, "g", &policy);
-        let bytes = snapshot_bytes(&ds, &dir, &label);
+        let bytes = fingerprint(&ds, &dir, &label);
         match &reference {
             None => reference = Some(bytes),
             Some(want) => {
-                assert_eq!(bytes.0, want.0, "{label}: v1 bytes");
-                assert_eq!(bytes.1, want.1, "{label}: v2 bytes");
+                assert!(bytes.0 == want.0, "{label}: index arrays");
+                assert_eq!(bytes.1, want.1, "{label}: snapshot bytes");
             }
         }
     }
@@ -161,7 +197,7 @@ fn serve_stack_rebuild_from_source_is_byte_identical() {
 #[test]
 fn wal_compaction_is_byte_identical_across_strategies() {
     // Stage COMPACT_OPS valid mutations and commit once: the commit folds
-    // the log and rewrites the snapshot path as a v2 file. That on-disk
+    // the log and rewrites the snapshot file. That on-disk
     // compacted snapshot — produced entirely inside the engine, under
     // whatever policy the operator ran with — must be byte-identical at
     // every thread count, and so must the dataset the engine keeps serving.
@@ -170,21 +206,21 @@ fn wal_compaction_is_byte_identical_across_strategies() {
     let ops = edge_stream_mixed(&g, bestk_engine::COMPACT_OPS as usize, 41);
     assert_eq!(ops.len(), bestk_engine::COMPACT_OPS as usize);
 
-    let mut reference: Option<(Vec<u8>, (Vec<u8>, Vec<u8>))> = None;
+    let mut reference: Option<(Vec<u8>, (IndexArrays, Vec<u8>))> = None;
     for (label, policy) in std::iter::once(("seq".to_string(), ExecPolicy::Sequential))
         .chain(THREADS.map(|t| (format!("par{t}"), ExecPolicy::with_threads(t).unwrap())))
     {
         let snap = dir.join(format!("{label}.bestk"));
         let mut ds = Dataset::from_graph(g.clone());
         ds.ensure_built(&ExecPolicy::Sequential);
-        snapshot::save_path(&ds, &snap).expect("write snapshot");
+        snapv2::save_path(&ds, &snap).expect("write snapshot");
 
         let eng = SharedEngine::with_budget(None);
         eng.load_snapshot_with_fallback(
             "g",
             snap.to_str().unwrap(),
             None,
-            &snapshot::RetryPolicy::none(),
+            &RetryPolicy::none(),
             &policy,
         )
         .expect("load");
@@ -196,13 +232,13 @@ fn wal_compaction_is_byte_identical_across_strategies() {
 
         let compacted = std::fs::read(&snap).expect("read compacted snapshot");
         let ds = built_dataset(&eng, "g", &policy);
-        let bytes = snapshot_bytes(&ds, &dir, &label);
+        let bytes = fingerprint(&ds, &dir, &label);
         match &reference {
             None => reference = Some((compacted, bytes)),
             Some((want_disk, want)) => {
                 assert_eq!(&compacted, want_disk, "{label}: compacted file bytes");
-                assert_eq!(bytes.0, want.0, "{label}: v1 bytes");
-                assert_eq!(bytes.1, want.1, "{label}: v2 bytes");
+                assert!(bytes.0 == want.0, "{label}: index arrays");
+                assert_eq!(bytes.1, want.1, "{label}: snapshot bytes");
             }
         }
     }

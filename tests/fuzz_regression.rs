@@ -110,6 +110,20 @@ fn generated_sweeps_stay_clean() {
     }
 }
 
+/// The retired version-1 image stays in the corpus as an input the opener
+/// must refuse with a typed error (a version skew), never a panic and
+/// never a mis-read as the current format.
+#[test]
+fn retired_v1_image_is_a_typed_error() {
+    let path = corpus_dir(Surface::Snapshot).join("figure2-v1.bestk");
+    let bytes = std::fs::read(&path).expect("retired v1 corpus image");
+    assert_eq!((&bytes[..7], bytes[7]), (&b"BESTKSS"[..], b'1'));
+    assert_eq!(
+        check_bytes(Surface::Snapshot, &bytes, DEFAULT_BUDGET_BYTES),
+        Check::TypedError
+    );
+}
+
 /// Materializes the machine-generated corpus seeds from the *current*
 /// encoders: valid exemplars per surface plus one-byte-damage and
 /// truncation variants. Ignored in normal runs; re-run after any on-disk
@@ -126,7 +140,7 @@ fn regenerate_binary_corpus() {
         std::fs::create_dir_all(&dir).expect("corpus dir");
         let names: &[&str] = match surface {
             Surface::GraphIo => &["figure2-edges.txt", "figure2-metis.graph", "figure2.bin"],
-            Surface::Snapshot => &["figure2-v1.bestk", "figure2-v2.bestk"],
+            Surface::Snapshot => &["figure2-v2.bestk"],
             Surface::Wal => &["valid.wal"],
             Surface::Serve => &[],
         };
@@ -153,7 +167,7 @@ fn regenerate_binary_corpus() {
     .expect("write torn wal");
     std::fs::write(corpus_dir(Surface::Wal).join("empty.wal"), b"").expect("write empty wal");
 
-    let v2 = base_inputs(Surface::Snapshot).remove(1);
+    let v2 = base_inputs(Surface::Snapshot).remove(0);
     let mut flipped = v2.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x01;

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use bestk_engine::{serve_lines, SharedEngine};
+use bestk_engine::{serve_lines, ServeLimits, SharedEngine};
 use bestk_exec::ExecPolicy;
 use bestk_graph::generators;
 use bestk_obs::ManualClock;
@@ -67,7 +67,15 @@ fn metrics_exposition_matches_golden_at_every_thread_count() {
         let engine = SharedEngine::with_budget(None);
         engine.insert_graph("g", generators::paper_figure2());
         let mut out = Vec::new();
-        serve_lines(&engine, &policy, SCRIPT, &mut out).expect("serve");
+        serve_lines(
+            &engine,
+            &policy,
+            SCRIPT,
+            &mut out,
+            &ServeLimits::default(),
+            None,
+        )
+        .expect("serve");
         let text = String::from_utf8(out).expect("utf8 replies");
 
         // The inline `metrics` verb frames the same exposition over the

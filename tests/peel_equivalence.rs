@@ -7,7 +7,8 @@
 //! everything built from it is **bit-identical** at threads {1, 2, 4, 7}:
 //! the decomposition, the Alg. 1 position tags, the Alg. 2 per-k and
 //! Alg. 5 per-core primaries (through the parallel triangle kernel), and
-//! the serialized `.bestk` snapshot bytes (v1 *and* v2). Shapes cover
+//! the index arrays a snapshot does not persist plus the serialized
+//! `.bestk` snapshot bytes. Shapes cover
 //! random graphs, sparse and degenerate inputs, and the adversarial
 //! generators (`k_chain`, `shell_ladder`, `tie_storm`, max-degeneracy
 //! cliques).
@@ -19,13 +20,14 @@
 use bestk::core::hindex::hindex_core_decomposition;
 use bestk::core::verify::verify_decomposition;
 use bestk::core::{
-    core_decomposition, core_decomposition_with, profiles_with, CoreForest, OrderedGraph,
+    core_decomposition, core_decomposition_with, profiles_with, CoreDecomposition, CoreForest,
+    CoreForestNode, OrderedGraph,
 };
 use bestk::exec::ExecPolicy;
 use bestk::graph::generators::{self, regular};
 use bestk::graph::testkit::{check, Gen};
 use bestk::graph::CsrGraph;
-use bestk_engine::{snapshot, snapv2, Dataset};
+use bestk_engine::{snapv2, Dataset};
 
 /// Thread counts every artifact is rebuilt at. 7 is deliberately prime
 /// and larger than the chunk-per-worker alignment assumptions.
@@ -68,6 +70,32 @@ fn assert_correct_and_thread_count_invariant(g: &CsrGraph, context: &str) {
             "{context}: Alg. 5 primaries at {threads} threads"
         );
     }
+}
+
+/// The index arrays a snapshot does not persist, compared in memory: the
+/// decomposition (peel order included), the Alg. 1 rank-ordered adjacency
+/// with its `same`/`plus`/`high` tags, and the forest's nodes plus its
+/// vertex-to-node map.
+type IndexArrays = (
+    CoreDecomposition,
+    [Vec<u32>; 4],
+    Vec<CoreForestNode>,
+    Vec<u32>,
+);
+
+fn index_arrays(ds: &Dataset) -> IndexArrays {
+    let art = ds.artifacts().expect("owned artifacts");
+    (
+        art.decomp.clone(),
+        [
+            art.adj.clone(),
+            art.same.clone(),
+            art.plus.clone(),
+            art.high.clone(),
+        ],
+        art.forest.nodes().to_vec(),
+        art.forest.vertex_nodes().to_vec(),
+    )
 }
 
 #[test]
@@ -120,8 +148,8 @@ fn adversarial_shapes_are_bit_identical() {
 #[test]
 fn snapshot_bytes_are_identical_at_every_thread_count() {
     // The end-to-end determinism contract: a dataset built at any thread
-    // count serializes to the *same bytes* as a sequential build — v1
-    // (which persists the peel order) and v2.
+    // count holds the *same index arrays* (peel order included) and
+    // serializes to the *same bytes* as a sequential build.
     let dir = std::env::temp_dir().join(format!("bestk-peel-eq-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -132,8 +160,7 @@ fn snapshot_bytes_are_identical_at_every_thread_count() {
     ] {
         let mut reference = Dataset::from_graph(g.clone());
         reference.ensure_built(&ExecPolicy::Sequential);
-        let mut v1_want = Vec::new();
-        snapshot::save(&reference, &mut v1_want).expect("save v1");
+        let arrays_want = index_arrays(&reference);
         let v2_path = dir.join(format!("{name}-seq.bestk"));
         snapv2::save_path(&reference, &v2_path).expect("save v2");
         let v2_want = std::fs::read(&v2_path).expect("read v2");
@@ -141,9 +168,10 @@ fn snapshot_bytes_are_identical_at_every_thread_count() {
             let policy = ExecPolicy::with_threads(threads).unwrap();
             let mut ds = Dataset::from_graph(g.clone());
             ds.ensure_built(&policy);
-            let mut v1 = Vec::new();
-            snapshot::save(&ds, &mut v1).expect("save v1");
-            assert_eq!(v1, v1_want, "{name}: v1 bytes at {threads} threads");
+            assert!(
+                index_arrays(&ds) == arrays_want,
+                "{name}: index arrays at {threads} threads"
+            );
             let path = dir.join(format!("{name}-{threads}.bestk"));
             snapv2::save_path(&ds, &path).expect("save v2");
             assert_eq!(
